@@ -33,7 +33,6 @@ from .piling import (
     is_cyclically_reduced,
     is_pyramidal,
     pi_star,
-    push_letter,
     pyramidalize,
     sigma_star,
     split_components,
@@ -66,7 +65,6 @@ from .cubecomplex import (
     parse_based_word,
     parse_complex,
     reach_by_centralizer,
-    reach_by_preferred_enumeration,
     trace,
     validate,
 )
@@ -76,4 +74,5 @@ from .oracle import (
     oracle_conjugate,
     oracle_equal,
     oracle_groupoid_conjugate,
+    reach_by_preferred_enumeration,
 )

@@ -23,21 +23,14 @@ def minimal_root(w: Word) -> tuple[Word, int]:
     """Shortest prefix z and maximal r with z^r == w letter-for-letter.
 
     The first occurrence of w inside ww minus its first letter starts at
-    the period of w; for a cyclic normal form that period divides the
-    length exactly.
+    the least t > 0 with rotate(w, t) == w.  The rotations fixing w form
+    a subgroup of Z_|w|, so t divides |w| and w == w[:t]^(|w|/t) for
+    any word w.
     """
     if not w:
         raise EmptyFactor("the empty word has no minimal root")
-    ell = len(w)
-    pos = kmp_first_occurrence((w + w)[1:], w)
-    t = pos + 1  # 1-based starting letter
-    if t == ell:
-        return w, 1
-    assert ell % t == 0, "period does not divide the length: input is not a cyclic normal form"
-    z = w[:t]
-    r = ell // t
-    assert z * r == w
-    return z, r
+    t = kmp_first_occurrence((w + w)[1:], w) + 1
+    return w[:t], len(w) // t
 
 
 def centralizer_generators(g: DefiningGraph, factors: CyclicNormalFactors) -> CentralizerGens:

@@ -24,6 +24,7 @@ from .core import (
 )
 from .piling import pi_star
 from .conjugacy import (
+    _same_class,
     conjugate_in_raag,
     cyclic_normal_factors,
     is_cyclic_normal,
@@ -109,10 +110,11 @@ def cmd_conjugate(args):
     g = _load_group(args.group)
     w = _word(g, args.word)
     v = _word(g, args.other)
-    ans = conjugate_in_raag(g, w, v)
     fw = cyclic_normal_factors(g, w)
+    fv = cyclic_normal_factors(g, v)
+    ans = _same_class(fw, fv)
     payload = {"conjugate": ans, "left": _factor_report(g, fw),
-               "right": _factor_report(g, cyclic_normal_factors(g, v))}
+               "right": _factor_report(g, fv)}
     _emit(args, payload, "YES" if ans else "NO")
 
 

@@ -106,14 +106,14 @@ def cyclic_equal(u: Word, v: Word):
     return kmp_first_occurrence(doubled, v)
 
 
+def _same_class(fw: CyclicNormalFactors, fv: CyclicNormalFactors) -> bool:
+    """Equal component collections and rotation-equal cyclic normal
+    forms factor by factor."""
+    return fw.components == fv.components and all(
+        cyclic_equal(a, b) is not None for a, b in zip(fw.factors, fv.factors))
+
+
 def conjugate_in_raag(g: DefiningGraph, w: Word, v: Word) -> bool:
     """Linear-time conjugacy decision: equal component collections and
     rotation-equal cyclic normal forms factor by factor."""
-    fw = cyclic_normal_factors(g, w)
-    fv = cyclic_normal_factors(g, v)
-    if fw.components != fv.components:
-        return False
-    for a, b in zip(fw.factors, fv.factors):
-        if cyclic_equal(a, b) is None:
-            return False
-    return True
+    return _same_class(cyclic_normal_factors(g, w), cyclic_normal_factors(g, v))

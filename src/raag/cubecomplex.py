@@ -99,11 +99,10 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _square_corners(cx: CubeComplexMap, g: DefiningGraph, square, problems):
+def _square_corners(by_id: dict[str, Edge], g: DefiningGraph, square, problems):
     """Corners contributed by one square record: for each orientation
     assignment that closes the boundary with opposite sides equal and
     commuting labels, each corner yields (vertex, {letter, letter})."""
-    by_id = {e.eid: e for e in cx.edges}
     try:
         e1, e2, e3, e4 = (by_id[eid] for eid in square)
     except KeyError as exc:
@@ -171,8 +170,9 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     convexity_checked = cx.squares is not None
     if convexity_checked and labels_ok and vertices_ok:
         provided = set()
+        by_id = {e.eid: e for e in cx.edges}
         for sq in cx.squares:
-            corners, closed = _square_corners(cx, g, sq, problems)
+            corners, closed = _square_corners(by_id, g, sq, problems)
             squares_ok = squares_ok and closed
             provided |= corners
         convexity_ok = True
@@ -274,52 +274,8 @@ def reach_by_centralizer(cx: CubeComplexMap, x_start: str,
     return visited
 
 
-def reach_by_preferred_enumeration(cx: CubeComplexMap, x_start: str,
-                                   gens: CentralizerGens, norm_bound: int) -> set[str]:
-    """Literal enumeration of preferred-form centralizer words: root
-    powers in factor order followed by a link-letter tail, total norm
-    bounded.  Cross-check oracle for the reachability fixpoint."""
-    roots = [z for z, _r in gens.roots]
-    link_letters = [Letter(l, s) for l in sorted(gens.link_gens) for s in (1, -1)]
-    results: set[str] = set()
-
-    def tail(x: str, budget: int, seen: set):
-        if (x, budget) in seen:
-            return
-        seen.add((x, budget))
-        results.add(x)
-        if budget == 0:
-            return
-        for l in link_letters:
-            y = cx.delta.get((x, l))
-            if y is not None:
-                tail(y, budget - 1, seen)
-
-    def blocks(i: int, x: str, budget: int):
-        if i == len(roots):
-            tail(x, budget, set())
-            return
-        z = roots[i]
-        for zword in (z, inverse_word(z)):
-            y, spent = x, 0
-            while True:
-                blocks(i + 1, y, budget - spent)
-                if spent == budget:
-                    break
-                y = trace(cx, y, zword)
-                if y is None:
-                    break
-                spent += 1
-            if not z:
-                break
-
-    blocks(0, x_start, norm_bound)
-    return results
-
-
 def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
-                       bw1: BasedWord, bw2: BasedWord,
-                       method: str = "bfs") -> bool:
+                       bw1: BasedWord, bw2: BasedWord) -> bool:
     """Decide whether two based loops are freely homotopic.
 
     Normalize both loops (carrying the base vertex along), compare the
@@ -348,14 +304,7 @@ def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
             if nxt is None:
                 raise ReplayFailure(f"alignment letter {l} untraceable from {b1}")
             b1 = nxt
-    gens = centralizer_generators(g, f2)
-    if method == "bfs":
-        reach = reach_by_centralizer(cx, b1, gens)
-    elif method == "enumerate":
-        reach = reach_by_preferred_enumeration(cx, b1, gens, len(cx.vertices))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return b2 in reach
+    return b2 in reach_by_centralizer(cx, b1, centralizer_generators(g, f2))
 
 
 def parse_complex(text: str, g: DefiningGraph, source: str = "<string>") -> CubeComplexMap:

@@ -1,12 +1,15 @@
 """Brute-force reference deciders for small instances.
 
 Everything here works by computing closures of words (or based loops)
-under elementary rewriting moves, with explicit bounds.  None of it
-shares code with the piling pipeline; that independence is the point.
+under elementary rewriting moves, or by enumerating words literally,
+with explicit bounds.  None of it shares code with the piling pipeline;
+that independence is the point.
 """
 from __future__ import annotations
 
-from .core import DefiningGraph, Letter, Word
+from .centralizer import CentralizerGens
+from .core import DefiningGraph, Letter, Word, inverse_word
+from .cubecomplex import CubeComplexMap, trace
 
 
 class BoundExceeded(RuntimeError):
@@ -132,3 +135,46 @@ def loop_class_key(cx, g: DefiningGraph, bw, max_states: int = 200_000):
     is shared exactly by homotopic loops)."""
     closure = _loop_closure(cx, g, bw.base, bw.word, max_states)
     return min((len(word), word, x) for x, word in closure)
+
+
+def reach_by_preferred_enumeration(cx: CubeComplexMap, x_start: str,
+                                   gens: CentralizerGens, norm_bound: int) -> set[str]:
+    """Literal enumeration of preferred-form centralizer words: root
+    powers in factor order followed by a link-letter tail, total norm
+    bounded.  Cross-check oracle for the reachability fixpoint."""
+    roots = [z for z, _r in gens.roots]
+    link_letters = [Letter(l, s) for l in sorted(gens.link_gens) for s in (1, -1)]
+    results: set[str] = set()
+
+    def tail(x: str, budget: int, seen: set):
+        if (x, budget) in seen:
+            return
+        seen.add((x, budget))
+        results.add(x)
+        if budget == 0:
+            return
+        for l in link_letters:
+            y = cx.delta.get((x, l))
+            if y is not None:
+                tail(y, budget - 1, seen)
+
+    def blocks(i: int, x: str, budget: int):
+        if i == len(roots):
+            tail(x, budget, set())
+            return
+        z = roots[i]
+        for zword in (z, inverse_word(z)):
+            y, spent = x, 0
+            while True:
+                blocks(i + 1, y, budget - spent)
+                if spent == budget:
+                    break
+                y = trace(cx, y, zword)
+                if y is None:
+                    break
+                spent += 1
+            if not z:
+                break
+
+    blocks(0, x_start, norm_bound)
+    return results

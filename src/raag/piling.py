@@ -7,12 +7,15 @@ commute with a_i.  Tiles are never stored explicitly; the footprint is
 recomputed from the defining graph whenever a tile is moved.
 
 All public operations are pure: they copy their input piling and
-return fresh values.
+return fresh values.  They are built from a private kernel of three
+in-place operations: the push rule (``_fold``), removal of one bottom
+tile (``_pop_bottom_tile``) and the largest-index extraction loop
+(``_extract``).
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import DefiningGraph, Letter, Word, support_graph_of_gens
 
@@ -83,18 +86,7 @@ class Piling:
         """Append one tile, cancelling against an opposite signed bead
         on top of the letter's own stack if present (in which case the
         trailing 0 beads of the non-commuting stacks go too)."""
-        gen, sign = letter
-        s = self.stacks[gen]
-        if s and s[-1] == -sign:
-            s.pop()
-            for j in self.graph.noncommute[gen]:
-                self.stacks[j].pop()
-            self.signed_count -= 1
-        else:
-            s.append(sign)
-            for j in self.graph.noncommute[gen]:
-                self.stacks[j].append(ZERO)
-            self.signed_count += 1
+        _fold(self, (letter,))
 
     def support(self) -> frozenset[int]:
         return frozenset(
@@ -104,7 +96,7 @@ class Piling:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Piling):
             return NotImplemented
-        return (self.graph.names == other.graph.names
+        return (self.graph == other.graph
                 and all(tuple(a) == tuple(b) for a, b in zip(self.stacks, other.stacks)))
 
     def __repr__(self) -> str:
@@ -120,19 +112,13 @@ def format_piling(p: Piling) -> str:
     return "\n".join(lines)
 
 
-def push_letter(p: Piling, letter: Letter) -> Piling:
-    q = p.copy()
-    q.push(letter)
-    return q
-
-
-def pi_star(g: DefiningGraph, w: Word) -> Piling:
-    """Left fold of the push rule over the word; O(length) with a
-    constant depending only on the graph."""
-    p = Piling(g)
+def _fold(p: Piling, w: Word) -> None:
+    """The push rule, in place, for each letter of w in turn: cancel the
+    top tile of the letter's stack if it carries the opposite sign,
+    else add a tile on top."""
     stacks = p.stacks
-    nbrs = g.noncommute
-    count = 0
+    nbrs = p.graph.noncommute
+    count = p.signed_count
     for gen, sign in w:
         s = stacks[gen]
         if s and s[-1] == -sign:
@@ -146,7 +132,6 @@ def pi_star(g: DefiningGraph, w: Word) -> Piling:
                 stacks[j].append(ZERO)
             count += 1
     p.signed_count = count
-    return p
 
 
 def _pop_bottom_tile(p: Piling, i: int) -> int:
@@ -162,25 +147,36 @@ def _pop_bottom_tile(p: Piling, i: int) -> int:
     return sign
 
 
-def _largest_extractable(p: Piling, exclude: int = 0) -> int:
-    """Largest index whose stack starts with a signed bead, or 0."""
-    for i in range(p.graph.n, 0, -1):
-        if i != exclude and p.stacks[i] and p.stacks[i][0] != ZERO:
-            return i
-    return 0
+def _extract(p: Piling, exclude: int = 0) -> list[Letter]:
+    """Repeatedly remove the bottom tile of the largest-index stack
+    other than ``exclude`` that starts with a signed bead, in place,
+    until there is none; returns the removed letters in order."""
+    stacks = p.stacks
+    out: list[Letter] = []
+    while True:
+        for i in range(p.graph.n, 0, -1):
+            if i != exclude and stacks[i] and stacks[i][0] != ZERO:
+                break
+        else:
+            return out
+        out.append(Letter(i, _pop_bottom_tile(p, i)))
+
+
+def pi_star(g: DefiningGraph, w: Word) -> Piling:
+    """Left fold of the push rule over the word; O(length) with a
+    constant depending only on the graph."""
+    p = Piling(g)
+    _fold(p, w)
+    return p
 
 
 def sigma_star(p: Piling) -> Word:
     """Extract the normal word: always emit the largest generator index
     whose stack starts with a signed bead, then remove its bottom tile."""
     q = p.copy()
-    out: list[Letter] = []
-    while q.signed_count:
-        i = _largest_extractable(q)
-        if i == 0:
-            raise ExtractionStuck("no stack starts with a signed bead")
-        sign = _pop_bottom_tile(q, i)
-        out.append(Letter(i, sign))
+    out = _extract(q)
+    if q.signed_count:
+        raise ExtractionStuck("no stack starts with a signed bead")
     if not q.is_empty():
         raise ExtractionStuck("0 beads left over after extracting all signed beads")
     return tuple(out)
@@ -197,21 +193,16 @@ def cyclic_reduce(p: Piling) -> tuple[Piling, list[CyclingEvent]]:
     stack starts with one sign and ends with the other."""
     q = p.copy()
     events: list[CyclingEvent] = []
-    n = q.graph.n
     changed = True
     while changed:
         changed = False
-        for i in range(1, n + 1):
+        for i in range(1, q.graph.n + 1):
             s = q.stacks[i]
             while len(s) >= 2 and s[0] != ZERO and s[-1] == -s[0]:
-                sign = s[0]
-                s.popleft()
-                s.pop()
-                for j in q.graph.noncommute[i]:
-                    q.stacks[j].popleft()
-                    q.stacks[j].pop()
-                q.signed_count -= 2
-                events.append(CyclingEvent(Letter(i, sign), "reduction"))
+                # cycle the bottom tile to the top, where it cancels
+                letter = Letter(i, _pop_bottom_tile(q, i))
+                _fold(q, (letter,))
+                events.append(CyclingEvent(letter, "reduction"))
                 changed = True
     return q, events
 
@@ -224,47 +215,24 @@ def _apex(p: Piling) -> int:
     return 0
 
 
-def _zero_factor_letters(p: Piling) -> list[Letter]:
-    """Extraction order of the 0-factor: repeatedly remove the bottom
-    tile of the largest extractable non-apex stack.  Mutates p."""
-    apex = _apex(p)
-    letters: list[Letter] = []
-    while True:
-        j = _largest_extractable(p, exclude=apex)
-        if j == 0:
-            return letters
-        sign = _pop_bottom_tile(p, j)
-        letters.append(Letter(j, sign))
-
-
 def decompose(p: Piling) -> tuple[Piling, Piling]:
     """Unique splitting p = p0 . p1 with p1 pyramidal (apex = smallest
     index carrying a signed bead) and p0 free of apex beads."""
     if p.is_empty():
         raise EmptyPiling("cannot decompose the empty piling")
     p1 = p.copy()
-    letters = _zero_factor_letters(p1)
-    p0 = Piling(p.graph)
-    for gen, sign in letters:
-        p0.stacks[gen].append(sign)
-        for j in p.graph.noncommute[gen]:
-            p0.stacks[j].append(ZERO)
-        p0.signed_count += 1
-    return p0, p1
+    return pi_star(p.graph, _extract(p1, exclude=_apex(p1))), p1
 
 
 def cycle_bottom(p: Piling, i: int) -> tuple[Piling, CyclingEvent]:
     """Move the bottom a_i-tile to the top of its stacks."""
-    q = p.copy()
-    s = q.stacks[i]
+    s = p.stacks[i]
     if not s or s[0] == ZERO:
         raise NoBottomTile(f"stack {i} does not start with a signed bead")
-    sign = s.popleft()
-    s.append(sign)
-    for j in q.graph.noncommute[i]:
-        q.stacks[j].popleft()
-        q.stacks[j].append(ZERO)
-    return q, CyclingEvent(Letter(i, sign), "cycling")
+    q = p.copy()
+    letter = Letter(i, _pop_bottom_tile(q, i))
+    _fold(q, (letter,))
+    return q, CyclingEvent(letter, "cycling")
 
 
 def is_pyramidal(p: Piling) -> bool:
@@ -279,7 +247,11 @@ def is_pyramidal(p: Piling) -> bool:
 
 
 def _pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent], int]:
-    """Returns (pyramidal piling, cycling events, number of passes)."""
+    """Returns (pyramidal piling, cycling events, number of passes).
+
+    Each pass moves the whole 0-factor from the bottom to the top in
+    place.  Cycling a tile never cancels in a cyclically reduced piling,
+    so this equals cycling the 0-factor's tiles one at a time."""
     if p.is_empty():
         raise EmptyPiling("cannot pyramidalize the empty piling")
     if not is_cyclically_reduced(p):
@@ -288,17 +260,16 @@ def _pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent], int]:
     if len(support_graph_of_gens(p.graph, supp).components) != 1:
         raise SplitInput("support graph is disconnected")
     q = p.copy()
+    apex = min(supp)
     events: list[CyclingEvent] = []
     passes = 0
     while True:
-        sim = q.copy()
-        letters = _zero_factor_letters(sim)
+        letters = _extract(q, exclude=apex)
         if not letters:
             return q, events, passes
         passes += 1
-        for gen, sign in letters:
-            q, ev = cycle_bottom(q, gen)
-            events.append(ev)
+        _fold(q, letters)
+        events.extend(CyclingEvent(l, "cycling") for l in letters)
 
 
 def pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent]]:
@@ -312,13 +283,27 @@ def pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent]]:
 def split_components(p: Piling) -> list[Piling]:
     """One piling per connected component of the support graph, ordered
     by minimal generator index; the factors commute pairwise and their
-    product is equivalent to p."""
-    if p.is_empty():
+    product is equivalent to p.
+
+    Every bead on a support stack comes from a letter of the same
+    component, so a factor keeps its component's stacks as they are.
+    A stack outside the support holds only 0 beads, one per signed bead
+    on its non-commuting support stacks; a factor keeps the ones its own
+    component put there."""
+    g = p.graph
+    signed = [len(s) - s.count(ZERO) for s in p.stacks]
+    supp = [i for i in range(1, g.n + 1) if signed[i]]
+    if not supp:
         return []
-    w = sigma_star(p)
-    sg = support_graph_of_gens(p.graph, p.support())
+    outside = [j for j in range(1, g.n + 1) if not signed[j]]
     out = []
-    for comp in sg.components:
-        members = set(comp)
-        out.append(pi_star(p.graph, tuple(l for l in w if l.gen in members)))
+    for comp in support_graph_of_gens(g, supp).components:
+        f = Piling(g)
+        for i in comp:
+            f.stacks[i] = deque(p.stacks[i])
+            f.signed_count += signed[i]
+        for j in outside:
+            zeros = sum(signed[i] for i in comp if i in g.noncommute[j])
+            f.stacks[j] = deque([ZERO] * zeros)
+        out.append(f)
     return out

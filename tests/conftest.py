@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from raag import DefiningGraph, Letter, build_graph, pi_star
+from raag import DefiningGraph, Letter, build_graph
+from raag.cli import random_reduced_word  # noqa: F401  (re-exported for the tests)
 
 
 @pytest.fixture
@@ -30,21 +31,6 @@ def abelian_graph() -> DefiningGraph:
 def random_word(g: DefiningGraph, length: int, rng: random.Random):
     return tuple(Letter(rng.randrange(1, g.n + 1), rng.choice((1, -1)))
                  for _ in range(length))
-
-
-def random_reduced_word(g: DefiningGraph, length: int, rng: random.Random):
-    """Reduced in the group sense: built so no pushed letter cancels."""
-    p = pi_star(g, ())
-    out = []
-    while len(out) < length:
-        gen = rng.randrange(1, g.n + 1)
-        sign = rng.choice((1, -1))
-        if p.stacks[gen] and p.stacks[gen][-1] == -sign:
-            continue
-        letter = Letter(gen, sign)
-        p.push(letter)
-        out.append(letter)
-    return tuple(out)
 
 
 def random_equivalent_rewrite(g: DefiningGraph, w, rng: random.Random):

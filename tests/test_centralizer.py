@@ -12,7 +12,7 @@ from raag import (
     parse_word,
     pi_star,
 )
-from .conftest import random_reduced_word
+from .conftest import random_reduced_word, random_word
 
 
 def test_minimal_root_power(example_graph):
@@ -37,8 +37,11 @@ def test_minimal_root_even_power(example_graph):
 def test_minimal_root_random_aperiodic(example_graph):
     g = example_graph
     rng = random.Random(21)
-    for _ in range(100):
-        w = random_reduced_word(g, rng.randrange(1, 12), rng)
+    # reduced words, then arbitrary (often unreduced, often periodic) powers
+    words = [random_reduced_word(g, rng.randrange(1, 12), rng) for _ in range(100)]
+    words += [random_word(g, rng.randrange(1, 6), rng) * rng.randrange(1, 4)
+              for _ in range(300)]
+    for w in words:
         z, r = minimal_root(w)
         assert z * r == w
         # cross-check with a direct prefix-period scan

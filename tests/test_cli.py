@@ -86,6 +86,24 @@ def test_conjugate_yes_and_no(group_file, capsys):
     assert code == 0 and out.strip() == "NO"
 
 
+def test_conjugate_factors_each_word_once(group_file, capsys, monkeypatch):
+    import raag.cli
+    import raag.conjugacy
+    real = raag.conjugacy.cyclic_normal_factors
+    calls = []
+
+    def counting(g, w):
+        calls.append(w)
+        return real(g, w)
+
+    monkeypatch.setattr(raag.cli, "cyclic_normal_factors", counting)
+    monkeypatch.setattr(raag.conjugacy, "cyclic_normal_factors", counting)
+    code, out, _ = run(capsys, "conjugate", "-g", group_file, "--json",
+                       "--no-timing", "-w", "a1 a2", "-v", "a2 a1")
+    assert code == 0 and json.loads(out)["conjugate"] is True
+    assert len(calls) == 2
+
+
 def test_cyclic_normal_form(group_file, capsys):
     code, out, _ = run(capsys, "cyclic-normal-form", "-g", group_file,
                        "--json", "--no-timing", "-w", "a1 a4 a1")

@@ -7,12 +7,16 @@ from raag import (
     based_cycle,
     based_word,
     build_graph,
+    centralizer_generators,
     conjugate_in_raag,
+    cyclic_normal_factors,
     groupoid_conjugate,
     normalize_based,
     parse_based_word,
     parse_complex,
     parse_word,
+    reach_by_centralizer,
+    reach_by_preferred_enumeration,
     validate,
 )
 from raag.cubecomplex import trace
@@ -144,36 +148,63 @@ def test_normalize_based_identity_loop():
     assert factors.factors == ()
 
 
-@pytest.mark.parametrize("method", ["bfs", "enumerate"])
+@pytest.fixture(params=["bfs", "enumerate"])
+def method(request, monkeypatch):
+    """Run groupoid_conjugate as shipped ("bfs"), or with its reachability
+    step replaced by the literal preferred-form enumeration ("enumerate")."""
+    if request.param == "enumerate":
+        monkeypatch.setattr(
+            "raag.cubecomplex.reach_by_centralizer",
+            lambda cx, x, gens: reach_by_preferred_enumeration(
+                cx, x, gens, len(cx.vertices)))
+    return request.param
+
+
 def test_basepoint_trap(method):
     """Conjugate in the group, yet not freely homotopic in the complex."""
     A = based_word(TRAP, "x1", parse_word(FREE2, "a1"))
     B = based_word(TRAP, "x1", parse_word(FREE2, "a2 a1 a2^-1"))
     C = based_word(TRAP, "x2", parse_word(FREE2, "a1"))
     assert conjugate_in_raag(FREE2, A.word, B.word)
-    assert not groupoid_conjugate(TRAP, FREE2, A, B, method=method)
-    assert groupoid_conjugate(TRAP, FREE2, B, C, method=method)
-    assert not groupoid_conjugate(TRAP, FREE2, A, C, method=method)
-    assert groupoid_conjugate(TRAP, FREE2, A, A, method=method)
+    assert not groupoid_conjugate(TRAP, FREE2, A, B)
+    assert groupoid_conjugate(TRAP, FREE2, B, C)
+    assert not groupoid_conjugate(TRAP, FREE2, A, C)
+    assert groupoid_conjugate(TRAP, FREE2, A, A)
 
 
-@pytest.mark.parametrize("method", ["bfs", "enumerate"])
 def test_parallel_transport_across_square(method):
     g, cx = square_complex()
     A = based_word(cx, "y1", parse_word(g, "a2"))
     B = based_word(cx, "y2", parse_word(g, "a2"))
     # moving the base along the a1 edge is a parallel transport
-    assert groupoid_conjugate(cx, g, A, B, method=method)
+    assert groupoid_conjugate(cx, g, A, B)
 
 
-@pytest.mark.parametrize("method", ["bfs", "enumerate"])
 def test_root_power_conjugator(method):
     g = FREE2
     # a1 a1 loop must travel x1 -> x2 by the a2 edge; conjugator a2
     cx = TRAP
     A = based_word(cx, "x1", parse_word(g, "a2 a1 a1 a2^-1"))
     B = based_word(cx, "x2", parse_word(g, "a1 a1"))
-    assert groupoid_conjugate(cx, g, A, B, method=method)
+    assert groupoid_conjugate(cx, g, A, B)
+
+
+def test_reach_matches_preferred_enumeration():
+    """The reachability fixpoint finds exactly the vertices reached by
+    literally enumerating preferred-form centralizer words."""
+    g_sq, cx_sq = square_complex()
+    cases = [
+        (FREE2, TRAP, ["a1", "a2 a1 a2^-1", "a1 a2"]),  # trap
+        (g_sq, cx_sq, ["a2", "a1", "a1 a2"]),  # square
+        (FREE2, TRAP, ["a1 a1", "a2 a1 a1 a2^-1"]),  # root power
+    ]
+    for g, cx, words in cases:
+        for text in words:
+            gens = centralizer_generators(
+                g, cyclic_normal_factors(g, parse_word(g, text)))
+            for x in cx.vertices:
+                assert reach_by_centralizer(cx, x, gens) == \
+                    reach_by_preferred_enumeration(cx, x, gens, len(cx.vertices))
 
 
 def test_groupoid_conjugate_rejects_non_loops():

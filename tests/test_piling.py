@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raag.piling import _apex, _pyramidalize
+from raag.piling import Piling, _apex, _pyramidalize
 from raag import (
     EmptyPiling,
     NoBottomTile,
@@ -12,6 +12,7 @@ from raag import (
     SplitInput,
     build_graph,
     cycle_bottom,
+    cyclic_normal_factors,
     cyclic_reduce,
     decompose,
     format_piling,
@@ -20,9 +21,9 @@ from raag import (
     is_pyramidal,
     parse_word,
     pi_star,
-    push_letter,
     pyramidalize,
     sigma_star,
+    split_components,
     support_graph,
 )
 from .conftest import random_word, random_reduced_word
@@ -36,7 +37,8 @@ def stacks_as_lists(p):
 
 def test_push_single_letter(example_graph):
     g = example_graph
-    p = push_letter(pi_star(g, ()), Letter(2, -1))
+    p = pi_star(g, ())
+    p.push(Letter(2, -1))
     # a2 does not commute with a1 only, so the tile is a minus bead on
     # stack 2 and a zero bead on stack 1
     assert stacks_as_lists(p) == [[0], [-1], [], []]
@@ -110,6 +112,16 @@ def test_pi_star_is_a_homomorphism_on_concatenation(data):
     for letter in v:
         rhs.push(letter)
     assert lhs == rhs
+
+
+def test_equality_compares_commutations():
+    free = build_graph(("a1", "a2", "a3"), [])
+    partly = build_graph(("a1", "a2", "a3"), [("a2", "a3")])
+    a1 = (Letter(1, 1),)
+    # same names and the same stacks, but different groups
+    assert pi_star(free, a1) != pi_star(partly, a1)
+    assert pi_star(free, ()) != pi_star(partly, ())
+    assert pi_star(free, a1) == pi_star(build_graph(("a1", "a2", "a3"), []), a1)
 
 
 def test_word_problem_via_piling(example_graph):
@@ -237,3 +249,69 @@ def test_path_graph_pyramidalize_terminates():
     q, _, passes = _pyramidalize(p)
     assert is_pyramidal(q)
     assert passes <= 3
+
+
+def test_pyramidalize_copies_a_constant_number_of_times(example_graph, monkeypatch):
+    """(a3 a4)^m a1 cycles nearly every tile; the number of piling
+    copies must not grow with m."""
+    g = example_graph
+    real_copy = Piling.copy
+    copies = []
+
+    def counting_copy(p):
+        copies.append(p)
+        return real_copy(p)
+
+    monkeypatch.setattr(Piling, "copy", counting_copy)
+    counts = []
+    for m in (500, 2000):
+        copies.clear()
+        cyclic_normal_factors(g, parse_word(g, "a3 a4 " * m + "a1"))
+        counts.append(len(copies))
+    assert counts[0] == counts[1]
+
+
+def split_by_refolding(p):
+    """Reference: extract the whole word, then fold each component's
+    subword again."""
+    if p.is_empty():
+        return []
+    w = sigma_star(p)
+    comps = support_graph(p.graph, w).components
+    return [pi_star(p.graph, tuple(l for l in w if l.gen in comp)) for comp in comps]
+
+
+def pyramidalize_tile_by_tile(p):
+    """Reference: per pass, decompose and cycle the 0-factor's tiles one
+    at a time, copying the piling for each tile."""
+    q, events, passes = p, [], 0
+    while True:
+        p0, _ = decompose(q)
+        letters = sigma_star(p0)
+        if not letters:
+            return q, events, passes
+        passes += 1
+        for gen, _ in letters:
+            q, ev = cycle_bottom(q, gen)
+            events.append(ev)
+
+
+def random_graph(rng, n):
+    names = [f"a{i}" for i in range(1, n + 1)]
+    density = rng.random()
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+             if rng.random() < density]
+    return build_graph(names, pairs)
+
+
+def test_kernel_matches_references_on_random_graphs():
+    rng = random.Random(2024)
+    for _ in range(1000):
+        g = random_graph(rng, rng.randrange(2, 8))
+        w = random_word(g, rng.randrange(0, 41), rng)
+        p, _ = cyclic_reduce(pi_star(g, w))
+        parts = split_components(p)
+        assert parts == split_by_refolding(p)
+        for part in parts:
+            assert part.signed_count == len(sigma_star(part))
+            assert _pyramidalize(part) == pyramidalize_tile_by_tile(part)
