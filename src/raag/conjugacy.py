@@ -7,7 +7,7 @@ rotation, so conjugacy reduces to cyclic string equality per factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import DefiningGraph, Word
 from .piling import (
@@ -25,8 +25,8 @@ from .piling import (
 class CyclicNormalFactors:
     """Mutually commuting cyclic normal forms, one per connected
     component of the support graph, with the cycling-event log that
-    produced them (cyclic reductions first, tagged factor=None, then
-    per-factor cyclings tagged with the component's vertex tuple)."""
+    produced them: the cyclic reductions first, then the cyclings of
+    each factor in component order."""
 
     factors: tuple[Word, ...]
     components: tuple[tuple[int, ...], ...]
@@ -66,7 +66,7 @@ def cyclic_normal_factors(g: DefiningGraph, w: Word) -> CyclicNormalFactors:
     for part in split_components(p):
         key = tuple(sorted(part.support()))
         pyr, evs = pyramidalize(part)
-        events.extend(replace(ev, factor=key) for ev in evs)
+        events.extend(evs)
         factors.append(sigma_star(pyr))
         components.append(key)
     return CyclicNormalFactors(tuple(factors), tuple(components), tuple(events))

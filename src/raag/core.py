@@ -8,6 +8,7 @@ generator touches exactly the stacks of its non-commuting neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 
@@ -61,10 +62,14 @@ class DefiningGraph:
         self.check_gen(j)
         return i != j and j not in self.noncommute[i]
 
+    @cached_property
+    def _index_of(self) -> dict[str, int]:
+        return {nm: i for i, nm in enumerate(self.names, start=1)}
+
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name) + 1
-        except ValueError:
+            return self._index_of[name]
+        except KeyError:
             raise WordSyntaxError(f"unknown generator name {name!r}") from None
 
     def name(self, i: int) -> str:

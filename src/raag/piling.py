@@ -11,11 +11,22 @@ return fresh values.  They are built from a private kernel of three
 in-place operations: the push rule (``_fold``), removal of one bottom
 tile (``_pop_bottom_tile``) and the largest-index extraction loop
 (``_extract``).
+
+A tile can be removed from the bottom exactly when its stack starts
+with a signed bead (in a valid piling its non-commuting neighbours then
+start with 0 beads).  ``_extract`` keeps the set of such stacks as an
+int bit mask, so the next letter is the mask's highest bit.  Removing a
+tile changes the bottoms of its own stack and its non-commuting
+neighbours only; ``_pop_bottom_tile`` walks those stacks once and
+returns which of them are ready now.  Extraction therefore costs
+O(deg) per letter after an O(n) start, and emits letters from a table
+built once per generator count (``_letters``).
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import DefiningGraph, Letter, Word, support_graph_of_gens
 
@@ -51,7 +62,7 @@ class NotCyclicallyReduced(PilingError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclingEvent:
     """One replayable base-vertex-affecting step: the letter of a tile
     that was cycled bottom-to-top, or the bottom letter of a cyclic
@@ -60,7 +71,6 @@ class CyclingEvent:
 
     letter: Letter
     kind: str  # "cycling" or "reduction"
-    factor: tuple[int, ...] | None = None
 
 
 class Piling:
@@ -134,32 +144,54 @@ def _fold(p: Piling, w: Word) -> None:
     p.signed_count = count
 
 
-def _pop_bottom_tile(p: Piling, i: int) -> int:
-    """Remove the bottom a_i-tile in place; returns its sign."""
-    sign = p.stacks[i].popleft()
+@lru_cache
+def _letters(n: int) -> tuple[tuple[Letter | None, ...], ...]:
+    """Interned letters of an n-generator group: ``_letters(n)[i][sign]``
+    is ``Letter(i, sign)`` (a sign of -1 indexes the last entry).  Row 0
+    is unused, like stack 0."""
+    return tuple((None, Letter(i, PLUS), Letter(i, MINUS)) for i in range(n + 1))
+
+
+def _pop_bottom_tile(p: Piling, i: int) -> tuple[int, int]:
+    """Remove the bottom a_i-tile in place, whose stack must start with a
+    signed bead.  Returns its sign and the bit mask of the touched stacks
+    (i and its non-commuting neighbours) that now start with a signed
+    bead.  Raises ExtractionStuck if a neighbour has no 0 bead at the
+    bottom; the piling is then left partly popped."""
+    stacks = p.stacks
+    s = stacks[i]
+    sign = s.popleft()
+    now = 1 << i if s and s[0] != ZERO else 0
     for j in p.graph.noncommute[i]:
-        if not p.stacks[j] or p.stacks[j][0] != ZERO:
+        s = stacks[j]
+        if not s or s[0] != ZERO:
             raise ExtractionStuck(
                 f"stack {j} does not start with a 0 bead under the bottom tile of {i}")
-    for j in p.graph.noncommute[i]:
-        p.stacks[j].popleft()
+        s.popleft()
+        if s and s[0] != ZERO:
+            now |= 1 << j
     p.signed_count -= 1
-    return sign
+    return sign, now
 
 
 def _extract(p: Piling, exclude: int = 0) -> list[Letter]:
     """Repeatedly remove the bottom tile of the largest-index stack
     other than ``exclude`` that starts with a signed bead, in place,
     until there is none; returns the removed letters in order."""
-    stacks = p.stacks
+    letters = _letters(p.graph.n)
+    ready = 0
+    for i, s in enumerate(p.stacks):
+        if s and s[0] != ZERO:
+            ready |= 1 << i
+    skip = ~(1 << exclude)
     out: list[Letter] = []
     while True:
-        for i in range(p.graph.n, 0, -1):
-            if i != exclude and stacks[i] and stacks[i][0] != ZERO:
-                break
-        else:
+        i = (ready & skip).bit_length() - 1
+        if i < 0:
             return out
-        out.append(Letter(i, _pop_bottom_tile(p, i)))
+        sign, now = _pop_bottom_tile(p, i)
+        ready = ready & ~(1 << i) | now
+        out.append(letters[i][sign])
 
 
 def pi_star(g: DefiningGraph, w: Word) -> Piling:
@@ -192,6 +224,7 @@ def cyclic_reduce(p: Piling) -> tuple[Piling, list[CyclingEvent]]:
     """Remove matching top/bottom tile pairs of opposite signs until no
     stack starts with one sign and ends with the other."""
     q = p.copy()
+    letters = _letters(q.graph.n)
     events: list[CyclingEvent] = []
     changed = True
     while changed:
@@ -200,7 +233,7 @@ def cyclic_reduce(p: Piling) -> tuple[Piling, list[CyclingEvent]]:
             s = q.stacks[i]
             while len(s) >= 2 and s[0] != ZERO and s[-1] == -s[0]:
                 # cycle the bottom tile to the top, where it cancels
-                letter = Letter(i, _pop_bottom_tile(q, i))
+                letter = letters[i][_pop_bottom_tile(q, i)[0]]
                 _fold(q, (letter,))
                 events.append(CyclingEvent(letter, "reduction"))
                 changed = True
@@ -230,7 +263,7 @@ def cycle_bottom(p: Piling, i: int) -> tuple[Piling, CyclingEvent]:
     if not s or s[0] == ZERO:
         raise NoBottomTile(f"stack {i} does not start with a signed bead")
     q = p.copy()
-    letter = Letter(i, _pop_bottom_tile(q, i))
+    letter = _letters(q.graph.n)[i][_pop_bottom_tile(q, i)[0]]
     _fold(q, (letter,))
     return q, CyclingEvent(letter, "cycling")
 

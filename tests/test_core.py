@@ -38,8 +38,12 @@ def test_index_and_name_roundtrip(example_graph):
     g = example_graph
     for i in range(1, g.n + 1):
         assert g.index(g.name(i)) == i
-    with pytest.raises(WordSyntaxError):
+    with pytest.raises(WordSyntaxError, match="unknown generator name 'nope'"):
         g.index("nope")
+    # names are matched exactly, not by prefix or case
+    for near in ("a", "A1", "a1 ", "a11"):
+        with pytest.raises(WordSyntaxError):
+            g.index(near)
 
 
 def test_parse_word_basic(example_graph):

@@ -1,11 +1,13 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raag.piling import Piling, _apex, _pyramidalize
+from raag.piling import ZERO, Piling, _apex, _extract, _pyramidalize
 from raag import (
     EmptyPiling,
+    ExtractionStuck,
     NoBottomTile,
     Letter,
     NotCyclicallyReduced,
@@ -77,6 +79,33 @@ def test_sigma_star_prefers_largest_index(example_graph):
     # the extraction rule picks a4 first
     assert sigma_star(pi_star(g, parse_word(g, "a1 a4"))) == \
         parse_word(g, "a4 a1")
+
+
+def hand_built(g, *stacks):
+    """A piling with the given stacks (bottom first), whether or not
+    any word folds to it."""
+    p = Piling(g)
+    p.stacks[1:] = [deque(s) for s in stacks]
+    p.signed_count = sum(len(s) - s.count(ZERO) for s in stacks)
+    return p
+
+
+def test_sigma_star_rejects_invalid_pilings():
+    free = build_graph(("a1", "a2"), [])
+    commuting = build_graph(("a1", "a2"), [("a1", "a2")])
+    cases = [
+        # the a1-tile needs a 0 bead on stack a2, which is empty
+        (hand_built(free, [1], []), "stack 2 does not start with a 0 bead"),
+        # the a2-tile needs a 0 bead at the bottom of stack a1, not a signed one
+        (hand_built(free, [1], [-1]), "stack 1 does not start with a 0 bead"),
+        # a 0 bead that no signed bead accounts for
+        (hand_built(free, [], [0]), "0 beads left over"),
+        # a signed bead buried under a 0 bead with no tile above it
+        (hand_built(commuting, [0, 1], []), "no stack starts with a signed bead"),
+    ]
+    for p, message in cases:
+        with pytest.raises(ExtractionStuck, match=message):
+            sigma_star(p)
 
 
 def test_format_piling_runs(example_graph):
@@ -296,6 +325,25 @@ def pyramidalize_tile_by_tile(p):
             events.append(ev)
 
 
+def extract_by_scanning(p, exclude=0):
+    """Reference: the scan-from-n greedy loop.  Emit the largest-index
+    stack other than ``exclude`` that starts with a signed bead, pop its
+    tile, and scan again from n."""
+    stacks = p.stacks
+    out = []
+    while True:
+        for i in range(p.graph.n, 0, -1):
+            if i != exclude and stacks[i] and stacks[i][0] != ZERO:
+                break
+        else:
+            return out
+        out.append(Letter(i, stacks[i].popleft()))
+        for j in p.graph.noncommute[i]:
+            assert stacks[j][0] == ZERO
+            stacks[j].popleft()
+        p.signed_count -= 1
+
+
 def random_graph(rng, n):
     names = [f"a{i}" for i in range(1, n + 1)]
     density = rng.random()
@@ -306,10 +354,18 @@ def random_graph(rng, n):
 
 def test_kernel_matches_references_on_random_graphs():
     rng = random.Random(2024)
-    for _ in range(1000):
-        g = random_graph(rng, rng.randrange(2, 8))
-        w = random_word(g, rng.randrange(0, 41), rng)
-        p, _ = cyclic_reduce(pi_star(g, w))
+    # 64 and 65 generators put ready stacks past a 64-bit machine word
+    sizes = [rng.randrange(2, 8) for _ in range(1000)] + [16, 64, 65] * 40
+    for n in sizes:
+        g = random_graph(rng, n)
+        w = random_word(g, rng.randrange(0, 41 if n < 8 else 161), rng)
+        folded = pi_star(g, w)
+        assert sigma_star(folded) == tuple(extract_by_scanning(folded.copy()))
+        exclude = rng.randrange(0, n + 1)
+        q, ref = folded.copy(), folded.copy()
+        assert _extract(q, exclude) == extract_by_scanning(ref, exclude)
+        assert q == ref and q.signed_count == ref.signed_count
+        p, _ = cyclic_reduce(folded)
         parts = split_components(p)
         assert parts == split_by_refolding(p)
         for part in parts:
