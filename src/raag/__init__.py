@@ -25,6 +25,7 @@ from .piling import (
     NotCyclicallyReduced,
     Piling,
     PilingError,
+    PilingTooLarge,
     SplitInput,
     cycle_bottom,
     cyclic_reduce,

@@ -196,8 +196,7 @@ def random_reduced_word(g: DefiningGraph, length: int, rng: random.Random):
     while len(letters) < length:
         gen = rng.randrange(1, g.n + 1)
         sign = rng.choice((1, -1))
-        s = p.stacks[gen]
-        if s and s[-1] == -sign:
+        if p.top_bead(gen) == -sign:
             continue
         l = Letter(gen, sign)
         p.push(l)

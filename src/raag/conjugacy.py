@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from .core import DefiningGraph, Word
 from .piling import (
     CyclingEvent,
+    _drain,
     cyclic_reduce,
     is_cyclically_reduced,
     pi_star,
     pyramidalize,
-    sigma_star,
     split_components,
 )
 
@@ -37,7 +37,7 @@ class CyclicNormalFactors:
 
 
 def normal_form(g: DefiningGraph, w: Word) -> Word:
-    return sigma_star(pi_star(g, w))
+    return _drain(pi_star(g, w))
 
 
 def is_normal(g: DefiningGraph, w: Word) -> bool:
@@ -67,7 +67,7 @@ def cyclic_normal_factors(g: DefiningGraph, w: Word) -> CyclicNormalFactors:
         key = tuple(sorted(part.support()))
         pyr, evs = pyramidalize(part)
         events.extend(evs)
-        factors.append(sigma_star(pyr))
+        factors.append(_drain(pyr))
         components.append(key)
     return CyclicNormalFactors(tuple(factors), tuple(components), tuple(events))
 

@@ -8,7 +8,7 @@ generator touches exactly the stacks of its non-commuting neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 
@@ -32,8 +32,24 @@ class Letter(NamedTuple):
 Word = tuple
 
 
+@lru_cache
+def letter_table(n: int) -> tuple[tuple[Letter | None, ...], ...]:
+    """Interned letters of an n-generator group: ``letter_table(n)[i][sign]``
+    is ``Letter(i, sign)`` (a sign of -1 indexes the last entry).  Row 0
+    is unused, like generator index 0."""
+    return tuple((None, Letter(i, 1), Letter(i, -1)) for i in range(n + 1))
+
+
+@lru_cache
+def _inverses(n: int) -> dict[Letter, Letter]:
+    rows = letter_table(n)
+    return {l: rows[l.gen][-l.sign] for row in rows[1:] for l in row[1:]}
+
+
 def inverse_word(w: Word) -> Word:
-    return tuple(l.inverse() for l in reversed(w))
+    if not w:
+        return ()
+    return tuple(map(_inverses(max(w)[0]).__getitem__, reversed(w)))
 
 
 @dataclass(frozen=True)

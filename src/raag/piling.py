@@ -6,35 +6,59 @@ on stack i plus a 0 bead on every stack whose generator does not
 commute with a_i.  Tiles are never stored explicitly; the footprint is
 recomputed from the defining graph whenever a tile is moved.
 
+A 0 bead carries nothing but its position, so a stack is stored
+run-length: a deque of its signed beads, bottom first, and a deque of
+the length of the 0 run under each of them.  The 0 run on top of stack
+i is a 32-bit field of one int, ``Piling._top``, at bits 32(i-1) up to
+32i.  A field holds 2^31 plus its run, so its top bit, the guard bit,
+is set while the run is at most 2^31-1 beads.  With ``low`` the ones of
+a set of fields and ``high = low << 31`` their guard bits, ``x - low``
+shortens each of those runs by one without borrowing from the next
+field, and a run that was 0 shows as a cleared guard bit; ``x + low``
+lengthens them.  A tile's footprint therefore costs a constant number of
+whole-int operations, whatever the degree of its generator.  A fold
+raises ``PilingTooLarge`` before it changes anything if a run could pass
+2^31-1 beads; for a piling folded from a word that takes more than
+2^31-1 tiles on the neighbours of one stack.  The field masks of a graph
+are built on first use (``_layout``).  ``Piling.stacks`` spells the
+beads out on demand for display and tests; ``Piling.from_stacks`` builds
+a piling from such a spelling.
+
 All public operations are pure: they copy their input piling and
 return fresh values.  They are built from a private kernel of three
 in-place operations: the push rule (``_fold``), removal of one bottom
 tile (``_pop_bottom_tile``) and the largest-index extraction loop
-(``_extract``).
+(``_extract``).  ``_drain`` is ``sigma_star`` without the copy, for
+callers that own a fresh piling.
 
 A tile can be removed from the bottom exactly when its stack starts
 with a signed bead (in a valid piling its non-commuting neighbours then
-start with 0 beads).  ``_extract`` keeps the set of such stacks as an
-int bit mask, so the next letter is the mask's highest bit.  Removing a
-tile changes the bottoms of its own stack and its non-commuting
-neighbours only; ``_pop_bottom_tile`` walks those stacks once and
-returns which of them are ready now.  Extraction therefore costs
-O(deg) per letter after an O(n) start, and emits letters from a table
-built once per generator count (``_letters``).
+start with 0 beads).  ``_extract`` packs the bottom 0 runs of all stacks
+into one int once per call, removes each tile by lowering its
+neighbours' fields with one subtraction, and keeps the ready stacks
+(signed bead at the bottom) as guard bits of one int, so the next letter
+is its highest bit.  Extraction therefore costs O(1) int operations per
+letter after an O(n) start, and emits letters and cycling events from
+tables built once per generator count.
 """
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple, Sequence
 
-from .core import DefiningGraph, Letter, Word, support_graph_of_gens
+from .core import DefiningGraph, Letter, Word, letter_table, support_graph_of_gens
 
 PLUS = 1
 MINUS = -1
 ZERO = 0
 
 _BEAD_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
+
+_GUARD = 1 << 31      # the top bit of a field, always set
+_RUN = _GUARD - 1     # the bits of a field below it: a 0 run, at most 2^31-1
 
 
 class PilingError(ValueError):
@@ -44,6 +68,10 @@ class PilingError(ValueError):
 class ExtractionStuck(PilingError):
     """A nonempty stack remains but no stack starts with a signed bead:
     the abstract piling is not in the image of the word-to-piling map."""
+
+
+class PilingTooLarge(PilingError):
+    """A 0 run would reach 2^31 beads, past its packed field."""
 
 
 class EmptyPiling(PilingError):
@@ -73,24 +101,129 @@ class CyclingEvent:
     kind: str  # "cycling" or "reduction"
 
 
-class Piling:
-    """N bead stacks over {+,-,0}; bottom of each stack is the left end."""
+class _Tile(NamedTuple):
+    """What the kernel needs to move an a_i-tile."""
 
-    __slots__ = ("graph", "stacks", "signed_count")
+    shift: int    # the offset of field i
+    low: int      # the ones of the fields of a_i's non-commuting neighbours
+    high: int     # their guard bits
+
+
+class _Layout(NamedTuple):
+    """The packed fields of one graph, built on first use."""
+
+    tiles: tuple[_Tile, ...]  # one per generator index; entry 0 is unused
+    empty: int                # ``Piling._top`` of the empty piling: the guard bits
+    half: int                 # bit 30 of every field
+    fields: struct.Struct     # n little-endian 32-bit fields
+
+
+def _shift(i: int) -> int:
+    return (i - 1) << 5
+
+
+@lru_cache
+def _layout(g: DefiningGraph) -> _Layout:
+    tiles = [_Tile(0, 0, 0)]
+    for i in range(1, g.n + 1):
+        low = sum(1 << _shift(j) for j in g.noncommute[i])
+        tiles.append(_Tile(_shift(i), low, low << 31))
+    empty = sum(_GUARD << t.shift for t in tiles[1:])
+    return _Layout(tuple(tiles), empty, empty >> 1, struct.Struct(f"<{g.n}I"))
+
+
+def _unpack(lay: _Layout, x: int) -> list[int]:
+    """The fields of x, indexed from 1 (entry 0 is 0)."""
+    return [0, *lay.fields.unpack(x.to_bytes(lay.fields.size, "little"))]
+
+
+def _pack(lay: _Layout, fields: list[int]) -> int:
+    return int.from_bytes(lay.fields.pack(*fields[1:]), "little")
+
+
+@lru_cache
+def _events(n: int, kind: str) -> tuple[tuple[CyclingEvent | None, ...], ...]:
+    """``_events(n, kind)[i][sign]`` is the event of that kind for the
+    interned letter ``letter_table(n)[i][sign]``."""
+    return tuple((None,) + tuple(CyclingEvent(l, kind) for l in row[1:])
+                 for row in letter_table(n))
+
+
+class Piling:
+    """N bead stacks over {+,-,0}, stored run-length; bottom of each stack
+    is the left end."""
+
+    __slots__ = ("graph", "_beads", "_under", "_top", "_lay")
 
     def __init__(self, graph: DefiningGraph):
         self.graph = graph
-        self.stacks: list[deque] = [deque() for _ in range(graph.n + 1)]  # slot 0 unused
-        self.signed_count = 0
+        self._lay = _layout(graph)
+        self._beads: list[deque] = [deque() for _ in self._lay.tiles]  # slot 0 unused
+        self._under: list[deque] = [deque() for _ in self._lay.tiles]
+        self._top = self._lay.empty
+
+    @classmethod
+    def from_stacks(cls, graph: DefiningGraph, stacks: Sequence[Sequence[int]]) -> "Piling":
+        """A piling with the given bead stacks, indexed by generator like
+        ``stacks`` (slot 0 empty, bottom first), whether or not any word
+        folds to it."""
+        if len(stacks) != graph.n + 1 or stacks[0]:
+            raise PilingError(f"expected an empty slot 0 and {graph.n} stacks")
+        p = cls(graph)
+        fields = [0] * (graph.n + 1)
+        for i in range(1, graph.n + 1):
+            if len(stacks[i]) > _RUN:
+                raise PilingTooLarge(f"stack {i} holds 2^31 or more beads")
+            run = 0
+            for b in stacks[i]:
+                if b not in _BEAD_CHAR:
+                    raise PilingError(f"bead {b!r} on stack {i} is not +1, -1 or 0")
+                if b == ZERO:
+                    run += 1
+                    continue
+                p._beads[i].append(b)
+                p._under[i].append(run)
+                run = 0
+            fields[i] = _GUARD | run
+        p._top = _pack(p._lay, fields)
+        return p
+
+    @property
+    def signed_count(self) -> int:
+        """The number of tiles, counted from the stacks in O(n)."""
+        return sum(map(len, self._beads))
+
+    @property
+    def stacks(self) -> list[tuple[int, ...]]:
+        """The beads of each stack, bottom first, spelled out on demand;
+        slot 0 is empty."""
+        out: list[tuple[int, ...]] = [()]
+        for i in range(1, self.graph.n + 1):
+            beads, under = self._beads[i], self._under[i]
+            s = [ZERO] * (sum(under) + len(beads) + _top_run(self, i))
+            at = -1
+            for sign, run in zip(beads, under):
+                at += run + 1
+                s[at] = sign
+            out.append(tuple(s))
+        return out
+
+    def top_bead(self, i: int) -> int | None:
+        """The top bead of stack i, or None if the stack is empty."""
+        if _top_run(self, i):
+            return ZERO
+        s = self._beads[i]
+        return s[-1] if s else None
 
     def copy(self) -> "Piling":
-        q = Piling(self.graph)
-        q.stacks = [deque(s) for s in self.stacks]
-        q.signed_count = self.signed_count
+        q = Piling.__new__(Piling)
+        q.graph, q._lay, q._top = self.graph, self._lay, self._top
+        q._beads = list(map(deque, self._beads))
+        q._under = list(map(deque, self._under))
         return q
 
     def is_empty(self) -> bool:
-        return all(not s for s in self.stacks)
+        return self._top == self._lay.empty and not any(self._beads)
 
     def push(self, letter: Letter) -> None:
         """Append one tile, cancelling against an opposite signed bead
@@ -99,99 +232,146 @@ class Piling:
         _fold(self, (letter,))
 
     def support(self) -> frozenset[int]:
-        return frozenset(
-            i for i in range(1, self.graph.n + 1)
-            if any(b != ZERO for b in self.stacks[i]))
+        return frozenset(i for i, s in enumerate(self._beads) if s)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Piling):
             return NotImplemented
-        return (self.graph == other.graph
-                and all(tuple(a) == tuple(b) for a, b in zip(self.stacks, other.stacks)))
+        return (self.graph == other.graph and self._top == other._top
+                and self._beads == other._beads and self._under == other._under)
 
     def __repr__(self) -> str:
         return f"<Piling {self.signed_count} signed beads>"
 
 
+def _top_run(p: Piling, i: int) -> int:
+    return p._top >> _shift(i) & _RUN
+
+
 def format_piling(p: Piling) -> str:
     """Debug serialization: one line per stack, beads bottom-to-top."""
     lines = []
-    for i in range(1, p.graph.n + 1):
-        beads = " ".join(_BEAD_CHAR[b] for b in p.stacks[i])
+    for i, s in enumerate(p.stacks[1:], start=1):
+        beads = " ".join(_BEAD_CHAR[b] for b in s)
         lines.append(f"{p.graph.name(i)}: {beads}".rstrip())
     return "\n".join(lines)
+
+
+def _lowest_field(bits: int) -> int:
+    """Index of the lowest field whose guard bit is set in ``bits``."""
+    return (bits & -bits).bit_length() >> 5
 
 
 def _fold(p: Piling, w: Word) -> None:
     """The push rule, in place, for each letter of w in turn: cancel the
     top tile of the letter's stack if it carries the opposite sign,
-    else add a tile on top."""
-    stacks = p.stacks
-    nbrs = p.graph.noncommute
-    count = p.signed_count
-    for gen, sign in w:
-        s = stacks[gen]
-        if s and s[-1] == -sign:
-            s.pop()
-            for j in nbrs[gen]:
-                stacks[j].pop()
-            count -= 1
-        else:
+    else add a tile on top.  A cancel whose neighbours do not all end
+    with a 0 bead raises PilingError and leaves the piling as the
+    letters before it made it.  Raises PilingTooLarge, changing nothing,
+    if a 0 run could pass 2^31-1 beads."""
+    lay = p._lay
+    top = p._top
+    if len(w) >> 30 or top & lay.half:
+        # some 0 run, or the word, is 2^30 or longer: check the room left
+        if max(_unpack(lay, top)) - _GUARD + len(w) > _RUN:
+            raise PilingTooLarge("a 0 run could pass 2^31-1 beads")
+    beads, under, tiles = p._beads, p._under, lay.tiles
+    try:
+        for gen, sign in w:
+            sh, lo, h = tiles[gen]
+            run = top >> sh & _RUN
+            s = beads[gen]
+            if not run and s and s[-1] != sign:
+                t = top - lo
+                if t & h != h:
+                    raise PilingError(
+                        f"stack {_lowest_field(h & ~t)} does not end with a 0 bead "
+                        f"over the top tile of {gen}")
+                s.pop()
+                top = t | under[gen].pop() << sh
+                continue
             s.append(sign)
-            for j in nbrs[gen]:
-                stacks[j].append(ZERO)
-            count += 1
-    p.signed_count = count
+            under[gen].append(run)
+            top += lo - (run << sh) if run else lo
+    finally:
+        p._top = top
 
 
-@lru_cache
-def _letters(n: int) -> tuple[tuple[Letter | None, ...], ...]:
-    """Interned letters of an n-generator group: ``_letters(n)[i][sign]``
-    is ``Letter(i, sign)`` (a sign of -1 indexes the last entry).  Row 0
-    is unused, like stack 0."""
-    return tuple((None, Letter(i, PLUS), Letter(i, MINUS)) for i in range(n + 1))
-
-
-def _pop_bottom_tile(p: Piling, i: int) -> tuple[int, int]:
+def _pop_bottom_tile(p: Piling, i: int) -> int:
     """Remove the bottom a_i-tile in place, whose stack must start with a
-    signed bead.  Returns its sign and the bit mask of the touched stacks
-    (i and its non-commuting neighbours) that now start with a signed
-    bead.  Raises ExtractionStuck if a neighbour has no 0 bead at the
-    bottom; the piling is then left partly popped."""
-    stacks = p.stacks
-    s = stacks[i]
-    sign = s.popleft()
-    now = 1 << i if s and s[0] != ZERO else 0
-    for j in p.graph.noncommute[i]:
-        s = stacks[j]
-        if not s or s[0] != ZERO:
-            raise ExtractionStuck(
-                f"stack {j} does not start with a 0 bead under the bottom tile of {i}")
-        s.popleft()
-        if s and s[0] != ZERO:
-            now |= 1 << j
-    p.signed_count -= 1
-    return sign, now
+    signed bead, and return its sign.  Raises ExtractionStuck if a
+    neighbour has no 0 bead at the bottom; the piling is then left
+    partly popped."""
+    under, top = p._under, p._top
+    try:
+        for j in p.graph.noncommute[i]:
+            u = under[j]
+            if u and u[0]:
+                u[0] -= 1
+            elif not u and top >> _shift(j) & _RUN:
+                top -= 1 << _shift(j)
+            else:
+                raise ExtractionStuck(
+                    f"stack {j} does not start with a 0 bead under the bottom tile of {i}")
+    finally:
+        p._top = top
+    under[i].popleft()
+    return p._beads[i].popleft()
 
 
 def _extract(p: Piling, exclude: int = 0) -> list[Letter]:
     """Repeatedly remove the bottom tile of the largest-index stack
     other than ``exclude`` that starts with a signed bead, in place,
-    until there is none; returns the removed letters in order."""
-    letters = _letters(p.graph.n)
-    ready = 0
-    for i, s in enumerate(p.stacks):
-        if s and s[0] != ZERO:
-            ready |= 1 << i
-    skip = ~(1 << exclude)
+    until there is none; returns the removed letters in order.  Raises
+    ExtractionStuck, with the offending tile not removed, if a neighbour
+    of that tile has no 0 bead at the bottom."""
+    n = p.graph.n
+    lay = p._lay
+    beads, under, tiles = p._beads, p._under, lay.tiles
+    letters = letter_table(n)
+    tops = _unpack(lay, p._top)
+    bottoms = tops[:]
+    # guard bits of the stacks other than ``exclude`` that hold a signed
+    # bead (occupied) and of those that start with one (ready)
+    ready = occupied = 0
+    for j in range(1, n + 1):
+        if beads[j]:
+            bottoms[j] = _GUARD | under[j][0]
+            if j != exclude:
+                occupied |= _GUARD << tiles[j].shift
+                if not under[j][0]:
+                    ready |= _GUARD << tiles[j].shift
+    bottom = _pack(lay, bottoms)
     out: list[Letter] = []
-    while True:
-        i = (ready & skip).bit_length() - 1
-        if i < 0:
-            return out
-        sign, now = _pop_bottom_tile(p, i)
-        ready = ready & ~(1 << i) | now
-        out.append(letters[i][sign])
+    try:
+        while ready:
+            i = ready.bit_length() >> 5
+            sh, lo, h = tiles[i]
+            t = bottom - lo
+            if t & h != h:
+                raise ExtractionStuck(
+                    f"stack {_lowest_field(h & ~t)} does not start with a 0 bead "
+                    f"under the bottom tile of {i}")
+            u = under[i]
+            u.popleft()
+            out.append(letters[i][beads[i].popleft()])
+            nxt = u[0] if u else tops[i] & _RUN
+            bottom = t | nxt << sh
+            # neighbours whose bottom run was 1 now start with a signed bead
+            ready |= ((t - lo) & h ^ h) & occupied
+            if nxt or not u:
+                ready ^= _GUARD << sh
+                if not u:
+                    occupied ^= _GUARD << sh
+    finally:
+        bottoms = _unpack(lay, bottom)
+        for j in range(1, n + 1):
+            if beads[j]:
+                under[j][0] = bottoms[j] & _RUN
+            else:
+                tops[j] = bottoms[j]
+        p._top = _pack(lay, tops)
+    return out
 
 
 def pi_star(g: DefiningGraph, w: Word) -> Piling:
@@ -202,50 +382,59 @@ def pi_star(g: DefiningGraph, w: Word) -> Piling:
     return p
 
 
-def sigma_star(p: Piling) -> Word:
-    """Extract the normal word: always emit the largest generator index
-    whose stack starts with a signed bead, then remove its bottom tile."""
-    q = p.copy()
-    out = _extract(q)
-    if q.signed_count:
+def _drain(p: Piling) -> Word:
+    """Extract the normal word of p in place, leaving p empty; raises
+    ExtractionStuck if p is not the piling of a word."""
+    out = _extract(p)
+    if p.signed_count:
         raise ExtractionStuck("no stack starts with a signed bead")
-    if not q.is_empty():
+    if not p.is_empty():
         raise ExtractionStuck("0 beads left over after extracting all signed beads")
     return tuple(out)
 
 
+def sigma_star(p: Piling) -> Word:
+    """Extract the normal word: always emit the largest generator index
+    whose stack starts with a signed bead, then remove its bottom tile."""
+    return _drain(p.copy())
+
+
+def _wraps(p: Piling, i: int) -> bool:
+    """Stack i starts with a signed bead and ends with the opposite one."""
+    s = p._beads[i]
+    return bool(s) and not p._under[i][0] and not _top_run(p, i) and s[-1] == -s[0]
+
+
 def is_cyclically_reduced(p: Piling) -> bool:
-    return all(
-        not (len(s) >= 2 and s[0] != ZERO and s[-1] == -s[0])
-        for s in p.stacks[1:])
+    return not any(_wraps(p, i) for i in range(1, p.graph.n + 1))
 
 
 def cyclic_reduce(p: Piling) -> tuple[Piling, list[CyclingEvent]]:
     """Remove matching top/bottom tile pairs of opposite signs until no
     stack starts with one sign and ends with the other."""
     q = p.copy()
-    letters = _letters(q.graph.n)
+    reductions = _events(q.graph.n, "reduction")
     events: list[CyclingEvent] = []
     changed = True
     while changed:
         changed = False
         for i in range(1, q.graph.n + 1):
-            s = q.stacks[i]
-            while len(s) >= 2 and s[0] != ZERO and s[-1] == -s[0]:
+            while _wraps(q, i):
                 # cycle the bottom tile to the top, where it cancels
-                letter = letters[i][_pop_bottom_tile(q, i)[0]]
-                _fold(q, (letter,))
-                events.append(CyclingEvent(letter, "reduction"))
+                ev = reductions[i][_pop_bottom_tile(q, i)]
+                _fold(q, (ev.letter,))
+                events.append(ev)
                 changed = True
     return q, events
 
 
 def _apex(p: Piling) -> int:
     """Smallest index whose stack contains a signed bead, or 0."""
-    for i in range(1, p.graph.n + 1):
-        if any(b != ZERO for b in p.stacks[i]):
-            return i
-    return 0
+    return next((i for i in range(1, p.graph.n + 1) if p._beads[i]), 0)
+
+
+def _starts_signed(p: Piling, i: int) -> bool:
+    return bool(p._beads[i]) and not p._under[i][0]
 
 
 def decompose(p: Piling) -> tuple[Piling, Piling]:
@@ -259,24 +448,19 @@ def decompose(p: Piling) -> tuple[Piling, Piling]:
 
 def cycle_bottom(p: Piling, i: int) -> tuple[Piling, CyclingEvent]:
     """Move the bottom a_i-tile to the top of its stacks."""
-    s = p.stacks[i]
-    if not s or s[0] == ZERO:
+    if not _starts_signed(p, i):
         raise NoBottomTile(f"stack {i} does not start with a signed bead")
     q = p.copy()
-    letter = _letters(q.graph.n)[i][_pop_bottom_tile(q, i)[0]]
-    _fold(q, (letter,))
-    return q, CyclingEvent(letter, "cycling")
+    ev = _events(q.graph.n, "cycling")[i][_pop_bottom_tile(q, i)]
+    _fold(q, (ev.letter,))
+    return q, ev
 
 
 def is_pyramidal(p: Piling) -> bool:
     apex = _apex(p)
     if apex == 0:
         return False
-    for i in range(1, p.graph.n + 1):
-        s = p.stacks[i]
-        if i != apex and s and s[0] != ZERO:
-            return False
-    return p.stacks[apex][0] != ZERO
+    return all(_starts_signed(p, i) == (i == apex) for i in range(1, p.graph.n + 1))
 
 
 def _pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent], int]:
@@ -294,6 +478,7 @@ def _pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent], int]:
         raise SplitInput("support graph is disconnected")
     q = p.copy()
     apex = min(supp)
+    cycling = _events(q.graph.n, "cycling")
     events: list[CyclingEvent] = []
     passes = 0
     while True:
@@ -302,7 +487,7 @@ def _pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent], int]:
             return q, events, passes
         passes += 1
         _fold(q, letters)
-        events.extend(CyclingEvent(l, "cycling") for l in letters)
+        events += [cycling[i][sign] for i, sign in letters]
 
 
 def pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent]]:
@@ -322,21 +507,24 @@ def split_components(p: Piling) -> list[Piling]:
     component, so a factor keeps its component's stacks as they are.
     A stack outside the support holds only 0 beads, one per signed bead
     on its non-commuting support stacks; a factor keeps the ones its own
-    component put there."""
+    component put there, which the packed sum of ``len * low`` over the
+    component counts for every stack at once."""
     g = p.graph
-    signed = [len(s) - s.count(ZERO) for s in p.stacks]
-    supp = [i for i in range(1, g.n + 1) if signed[i]]
+    supp = sorted(p.support())
     if not supp:
         return []
-    outside = [j for j in range(1, g.n + 1) if not signed[j]]
+    tiles = p._lay.tiles
+    fields = (1 << 32 * g.n) - 1
     out = []
     for comp in support_graph_of_gens(g, supp).components:
         f = Piling(g)
+        keep = zeros = 0
         for i in comp:
-            f.stacks[i] = deque(p.stacks[i])
-            f.signed_count += signed[i]
-        for j in outside:
-            zeros = sum(signed[i] for i in comp if i in g.noncommute[j])
-            f.stacks[j] = deque([ZERO] * zeros)
+            f._beads[i] = deque(p._beads[i])
+            f._under[i] = deque(p._under[i])
+            keep |= _RUN << tiles[i].shift
+            zeros += len(p._beads[i]) * tiles[i].low
+        # no other component's stack is a neighbour, so its field gets 0
+        f._top = p._top & keep | (f._top + zeros) & (fields ^ keep)
         out.append(f)
     return out

@@ -1,5 +1,6 @@
 import pytest
 
+from raag.core import letter_table
 from raag import (
     Letter,
     PresentationError,
@@ -78,6 +79,9 @@ def test_inverse_word(example_graph):
     w = parse_word(g, "a1 a2^-1 a3")
     assert inverse_word(w) == parse_word(g, "a3^-1 a2 a1^-1")
     assert inverse_word(inverse_word(w)) == w
+    assert inverse_word(()) == ()
+    # the inverse letters are the interned ones the piling emits too
+    assert inverse_word(w)[0] is letter_table(3)[3][-1]
 
 
 def test_support(example_graph):

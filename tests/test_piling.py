@@ -11,6 +11,8 @@ from raag import (
     NoBottomTile,
     Letter,
     NotCyclicallyReduced,
+    PilingError,
+    PilingTooLarge,
     SplitInput,
     build_graph,
     cycle_bottom,
@@ -28,7 +30,7 @@ from raag import (
     split_components,
     support_graph,
 )
-from .conftest import random_word, random_reduced_word
+from .conftest import random_equivalent_rewrite, random_word, random_reduced_word
 
 EXAMPLE_WORD = "a2^-2 a4^-1 a3 a2 a4 a1 a2 a1^-1 a2^2 a4^-1"
 
@@ -82,12 +84,9 @@ def test_sigma_star_prefers_largest_index(example_graph):
 
 
 def hand_built(g, *stacks):
-    """A piling with the given stacks (bottom first), whether or not
-    any word folds to it."""
-    p = Piling(g)
-    p.stacks[1:] = [deque(s) for s in stacks]
-    p.signed_count = sum(len(s) - s.count(ZERO) for s in stacks)
-    return p
+    """A piling with the given stacks of a1, a2, ... (bottom first),
+    whether or not any word folds to it."""
+    return Piling.from_stacks(g, [(), *stacks])
 
 
 def test_sigma_star_rejects_invalid_pilings():
@@ -106,6 +105,46 @@ def test_sigma_star_rejects_invalid_pilings():
     for p, message in cases:
         with pytest.raises(ExtractionStuck, match=message):
             sigma_star(p)
+
+
+def test_from_stacks_round_trip_and_errors(example_graph):
+    g = example_graph
+    p = pi_star(g, parse_word(g, EXAMPLE_WORD))
+    q = Piling.from_stacks(g, p.stacks)
+    assert q == p and q.signed_count == p.signed_count
+    assert [q.top_bead(i) for i in range(1, 5)] == [0, 1, 0, 0]
+    assert pi_star(g, ()).top_bead(1) is None
+    with pytest.raises(PilingError, match="empty slot 0"):
+        Piling.from_stacks(g, p.stacks[1:])
+    with pytest.raises(PilingError, match="not \\+1, -1 or 0"):
+        hand_built(g, [2], [], [], [])
+    # the length is checked before any bead is read
+    with pytest.raises(PilingTooLarge):
+        hand_built(g, range(2 ** 31), [], [], [])
+
+
+def test_cancel_needs_zero_beads_on_top():
+    """a1 does not commute with a2 or a3.  Cancelling the top a1-tile
+    needs a 0 bead on top of both stacks; stack a3 ends with a signed
+    bead, so the push fails and changes nothing, not even stack a2."""
+    g = build_graph(("a1", "a2", "a3"), [("a2", "a3")])
+    p = hand_built(g, [1], [0, 0], [0, -1])
+    before = p.stacks
+    with pytest.raises(PilingError, match="stack 3 does not end with a 0 bead"):
+        p.push(Letter(1, -1))
+    assert p.stacks == before and p.signed_count == 2
+
+
+def test_push_past_the_run_limit_raises():
+    g = build_graph(("a1", "a2"), [])
+    p = pi_star(g, (Letter(1, 1),))
+    # lengthen the 0 run on stack a2 from 1 to 2^31 - 1 beads, too many to
+    # spell out: its field holds the run from bit 32 on
+    p._top += (2 ** 31 - 2) << 32
+    before = (p._top, p.signed_count)
+    with pytest.raises(PilingTooLarge):
+        p.push(Letter(1, 1))
+    assert (p._top, p.signed_count) == before
 
 
 def test_format_piling_runs(example_graph):
@@ -280,6 +319,21 @@ def test_path_graph_pyramidalize_terminates():
     assert passes <= 3
 
 
+def test_pyramidalize_counts_are_linear(example_graph):
+    """On (a3 a4)^m a1 every tile but a1 is cycled once, in one pass,
+    whatever m: the work counted in tiles grows linearly."""
+    g = example_graph
+    counts = set()
+    for m in (500, 1000, 2000):
+        p, reductions = cyclic_reduce(pi_star(g, parse_word(g, "a3 a4 " * m + "a1")))
+        (part,) = split_components(p)
+        _, events, passes = _pyramidalize(part)
+        counts.add((len(reductions), passes, len(events) - 2 * m))
+        # events come from a table: one object per letter, not per tile
+        assert len(set(map(id, events))) == 2
+    assert counts == {(0, 1, 0)}
+
+
 def test_pyramidalize_copies_a_constant_number_of_times(example_graph, monkeypatch):
     """(a3 a4)^m a1 cycles nearly every tile; the number of piling
     copies must not grow with m."""
@@ -325,23 +379,42 @@ def pyramidalize_tile_by_tile(p):
             events.append(ev)
 
 
-def extract_by_scanning(p, exclude=0):
-    """Reference: the scan-from-n greedy loop.  Emit the largest-index
-    stack other than ``exclude`` that starts with a signed bead, pop its
-    tile, and scan again from n."""
-    stacks = p.stacks
+def fold_beads(g, w):
+    """Reference: the push rule on explicit bead stacks, one Python step
+    per non-commuting stack.  Returns the stacks (slot 0 unused) and the
+    number of signed beads."""
+    stacks = [deque() for _ in range(g.n + 1)]
+    count = 0
+    for gen, sign in w:
+        s = stacks[gen]
+        if s and s[-1] == -sign:
+            s.pop()
+            for j in g.noncommute[gen]:
+                assert stacks[j].pop() == ZERO
+            count -= 1
+        else:
+            s.append(sign)
+            for j in g.noncommute[gen]:
+                stacks[j].append(ZERO)
+            count += 1
+    return stacks, count
+
+
+def extract_by_scanning(g, stacks, exclude=0):
+    """Reference: the scan-from-n greedy loop on explicit bead stacks, in
+    place.  Emit the largest-index stack other than ``exclude`` that
+    starts with a signed bead, pop its tile, and scan again from n."""
     out = []
     while True:
-        for i in range(p.graph.n, 0, -1):
+        for i in range(g.n, 0, -1):
             if i != exclude and stacks[i] and stacks[i][0] != ZERO:
                 break
         else:
             return out
         out.append(Letter(i, stacks[i].popleft()))
-        for j in p.graph.noncommute[i]:
+        for j in g.noncommute[i]:
             assert stacks[j][0] == ZERO
             stacks[j].popleft()
-        p.signed_count -= 1
 
 
 def random_graph(rng, n):
@@ -352,19 +425,36 @@ def random_graph(rng, n):
     return build_graph(names, pairs)
 
 
+def stacks_of(p):
+    return [tuple(s) for s in p.stacks]
+
+
 def test_kernel_matches_references_on_random_graphs():
     rng = random.Random(2024)
-    # 64 and 65 generators put ready stacks past a 64-bit machine word
+    # 64 and 65 generators put fields past a 64-bit machine word, and
+    # the packed ints past 2048 bits
     sizes = [rng.randrange(2, 8) for _ in range(1000)] + [16, 64, 65] * 40
-    for n in sizes:
+    for k, n in enumerate(sizes):
         g = random_graph(rng, n)
         w = random_word(g, rng.randrange(0, 41 if n < 8 else 161), rng)
+        if k % 2:
+            # x . u . rewrite(u)^-1 folds to the piling of x through pushes
+            # and cancels in every order
+            v = w
+            for _ in range(rng.randrange(1, 6)):
+                v = random_equivalent_rewrite(g, v, rng)
+            w = random_word(g, rng.randrange(0, 2 * n), rng) + w + inverse_word(v)
         folded = pi_star(g, w)
-        assert sigma_star(folded) == tuple(extract_by_scanning(folded.copy()))
+        ref, count = fold_beads(g, w)
+        assert stacks_of(folded) == list(map(tuple, ref))
+        assert folded.signed_count == count
+        assert sigma_star(folded) == tuple(extract_by_scanning(g, [deque(s) for s in ref]))
         exclude = rng.randrange(0, n + 1)
-        q, ref = folded.copy(), folded.copy()
-        assert _extract(q, exclude) == extract_by_scanning(ref, exclude)
-        assert q == ref and q.signed_count == ref.signed_count
+        q = folded.copy()
+        assert _extract(q, exclude) == extract_by_scanning(g, ref, exclude)
+        assert stacks_of(q) == list(map(tuple, ref))
+        assert q.signed_count == sum(len(s) - s.count(ZERO) for s in ref)
+        assert q == Piling.from_stacks(g, q.stacks)
         p, _ = cyclic_reduce(folded)
         parts = split_components(p)
         assert parts == split_by_refolding(p)
