@@ -18,7 +18,6 @@ from .core import (
     support_of,
 )
 from .piling import (
-    CyclingEvent,
     EmptyPiling,
     ExtractionStuck,
     NoBottomTile,

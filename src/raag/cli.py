@@ -23,13 +23,7 @@ from .core import (
     parse_word,
 )
 from .piling import pi_star
-from .conjugacy import (
-    _same_class,
-    conjugate_in_raag,
-    cyclic_normal_factors,
-    is_cyclic_normal,
-    normal_form,
-)
+from .conjugacy import _same_class, conjugate_in_raag, cyclic_normal_factors, normal_form
 from .centralizer import centralizer_generators
 from .cubecomplex import (
     ComplexSyntaxError,

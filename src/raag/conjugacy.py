@@ -10,27 +10,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DefiningGraph, Word
-from .piling import (
-    CyclingEvent,
-    _drain,
-    cyclic_reduce,
-    is_cyclically_reduced,
-    pi_star,
-    pyramidalize,
-    split_components,
-)
+from .piling import _drain, cyclic_reduce, pi_star, pyramidalize, split_components
 
 
 @dataclass(frozen=True)
 class CyclicNormalFactors:
     """Mutually commuting cyclic normal forms, one per connected
-    component of the support graph, with the cycling-event log that
-    produced them: the cyclic reductions first, then the cyclings of
-    each factor in component order."""
+    component of the support graph, with the letters the cycling moved:
+    the bottom letters of the cyclic reductions first, then the cycled
+    letters of each factor in component order.  ``events`` is a
+    conjugator c with pi(c^-1 w c) = pi(concat()) for the input word w,
+    so a loop's base vertex is carried along c."""
 
     factors: tuple[Word, ...]
     components: tuple[tuple[int, ...], ...]
-    events: tuple[CyclingEvent, ...]
+    events: Word
 
     def concat(self) -> Word:
         return tuple(l for f in self.factors for l in f)
@@ -47,20 +41,15 @@ def is_normal(g: DefiningGraph, w: Word) -> bool:
 def is_cyclic_normal(g: DefiningGraph, w: Word) -> bool:
     """A cyclically reduced word all of whose rotations are normal.
     Every rotation is a factor of the doubled word and factors of
-    normal words are normal, so one normality check of ww suffices."""
-    if not w:
-        return True
-    if not is_normal(g, w):
-        return False
-    if not is_cyclically_reduced(pi_star(g, w)):
-        return False
-    return is_normal(g, w + w)
+    normal words are normal, so one normality check of ww suffices:
+    w itself is a prefix of ww, and if a stack of pi(w) starts with
+    one sign and ends with the other, then ww puts a letter next to its
+    inverse up to commutation, so ww is not reduced, let alone normal."""
+    return not w or is_normal(g, w + w)
 
 
 def cyclic_normal_factors(g: DefiningGraph, w: Word) -> CyclicNormalFactors:
-    p = pi_star(g, w)
-    p, red_events = cyclic_reduce(p)
-    events = list(red_events)
+    p, events = cyclic_reduce(pi_star(g, w))
     factors: list[Word] = []
     components: list[tuple[int, ...]] = []
     for part in split_components(p):

@@ -232,19 +232,16 @@ def based_cycle(cx: CubeComplexMap, bw: BasedWord) -> BasedWord:
 
 def normalize_based(cx: CubeComplexMap, g: DefiningGraph,
                     bw: BasedWord) -> tuple[str, CyclicNormalFactors]:
-    """Cyclic-normal-factor the loop word and replay the cycling-event
-    log on the base vertex; cancellations and commutations leave the
-    base fixed, so the events are all that matters."""
+    """Cyclic-normal-factor the loop word and carry the base vertex
+    along the conjugator word ``events``; cancellations and
+    commutations leave the base fixed, so that word is all that
+    matters."""
     if bw.base != bw.end:
         raise NotALoop(f"based word runs {bw.base} -> {bw.end}")
     factors = cyclic_normal_factors(g, bw.word)
-    base = bw.base
-    for ev in factors.events:
-        nxt = cx.delta.get((base, ev.letter))
-        if nxt is None:
-            raise ReplayFailure(
-                f"event letter {ev.letter} untraceable from {base}")
-        base = nxt
+    base = trace(cx, bw.base, factors.events)
+    if base is None:
+        raise ReplayFailure(f"event letters untraceable from {bw.base}")
     return base, factors
 
 
@@ -283,27 +280,20 @@ def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
     by based cyclings, then ask whether some centralizer word of the
     common cyclic normal form traces from the first base to the second.
     """
-    for bw in (bw1, bw2):
-        if bw.base != bw.end:
-            raise NotALoop(f"based word runs {bw.base} -> {bw.end}")
     b1, f1 = normalize_based(cx, g, bw1)
     b2, f2 = normalize_based(cx, g, bw2)
     if f1.components != f2.components:
         return False
-    for u, v in zip(f1.factors, f2.factors):
-        if len(u) != len(v):
-            return False
     # Align loop 1's factors onto loop 2's words; each cycled letter
     # moves the base one edge along that factor.
     for u, v in zip(f1.factors, f2.factors):
         t = cyclic_equal(u, v)
         if t is None:
             return False
-        for l in u[:t]:
-            nxt = cx.delta.get((b1, l))
-            if nxt is None:
-                raise ReplayFailure(f"alignment letter {l} untraceable from {b1}")
-            b1 = nxt
+        nxt = trace(cx, b1, u[:t])
+        if nxt is None:
+            raise ReplayFailure(f"alignment letters untraceable from {b1}")
+        b1 = nxt
     return b2 in reach_by_centralizer(cx, b1, centralizer_generators(g, f2))
 
 

@@ -38,14 +38,13 @@ into one int once per call, removes each tile by lowering its
 neighbours' fields with one subtraction, and keeps the ready stacks
 (signed bead at the bottom) as guard bits of one int, so the next letter
 is its highest bit.  Extraction therefore costs O(1) int operations per
-letter after an O(n) start, and emits letters and cycling events from
-tables built once per generator count.
+letter after an O(n) start, and emits the interned letters of
+``core.letter_table``.
 """
 from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -90,17 +89,6 @@ class NotCyclicallyReduced(PilingError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class CyclingEvent:
-    """One replayable base-vertex-affecting step: the letter of a tile
-    that was cycled bottom-to-top, or the bottom letter of a cyclic
-    reduction (a cyclic reduction is a cycling followed by a
-    cancellation, so it moves a base vertex the same way)."""
-
-    letter: Letter
-    kind: str  # "cycling" or "reduction"
-
-
 class _Tile(NamedTuple):
     """What the kernel needs to move an a_i-tile."""
 
@@ -139,14 +127,6 @@ def _unpack(lay: _Layout, x: int) -> list[int]:
 
 def _pack(lay: _Layout, fields: list[int]) -> int:
     return int.from_bytes(lay.fields.pack(*fields[1:]), "little")
-
-
-@lru_cache
-def _events(n: int, kind: str) -> tuple[tuple[CyclingEvent | None, ...], ...]:
-    """``_events(n, kind)[i][sign]`` is the event of that kind for the
-    interned letter ``letter_table(n)[i][sign]``."""
-    return tuple((None,) + tuple(CyclingEvent(l, kind) for l in row[1:])
-                 for row in letter_table(n))
 
 
 class Piling:
@@ -409,21 +389,23 @@ def is_cyclically_reduced(p: Piling) -> bool:
     return not any(_wraps(p, i) for i in range(1, p.graph.n + 1))
 
 
-def cyclic_reduce(p: Piling) -> tuple[Piling, list[CyclingEvent]]:
+def cyclic_reduce(p: Piling) -> tuple[Piling, list[Letter]]:
     """Remove matching top/bottom tile pairs of opposite signs until no
-    stack starts with one sign and ends with the other."""
+    stack starts with one sign and ends with the other.  Also returns
+    the bottom letter of each removed pair: a reduction is a cycling
+    followed by a cancellation, so it moves a base vertex the same way."""
     q = p.copy()
-    reductions = _events(q.graph.n, "reduction")
-    events: list[CyclingEvent] = []
+    letters = letter_table(q.graph.n)
+    events: list[Letter] = []
     changed = True
     while changed:
         changed = False
         for i in range(1, q.graph.n + 1):
             while _wraps(q, i):
                 # cycle the bottom tile to the top, where it cancels
-                ev = reductions[i][_pop_bottom_tile(q, i)]
-                _fold(q, (ev.letter,))
-                events.append(ev)
+                l = letters[i][_pop_bottom_tile(q, i)]
+                _fold(q, (l,))
+                events.append(l)
                 changed = True
     return q, events
 
@@ -446,14 +428,15 @@ def decompose(p: Piling) -> tuple[Piling, Piling]:
     return pi_star(p.graph, _extract(p1, exclude=_apex(p1))), p1
 
 
-def cycle_bottom(p: Piling, i: int) -> tuple[Piling, CyclingEvent]:
-    """Move the bottom a_i-tile to the top of its stacks."""
+def cycle_bottom(p: Piling, i: int) -> tuple[Piling, Letter]:
+    """Move the bottom a_i-tile to the top of its stacks; also returns
+    its letter."""
     if not _starts_signed(p, i):
         raise NoBottomTile(f"stack {i} does not start with a signed bead")
     q = p.copy()
-    ev = _events(q.graph.n, "cycling")[i][_pop_bottom_tile(q, i)]
-    _fold(q, (ev.letter,))
-    return q, ev
+    l = letter_table(q.graph.n)[i][_pop_bottom_tile(q, i)]
+    _fold(q, (l,))
+    return q, l
 
 
 def is_pyramidal(p: Piling) -> bool:
@@ -463,8 +446,8 @@ def is_pyramidal(p: Piling) -> bool:
     return all(_starts_signed(p, i) == (i == apex) for i in range(1, p.graph.n + 1))
 
 
-def _pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent], int]:
-    """Returns (pyramidal piling, cycling events, number of passes).
+def _pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
+    """Returns (pyramidal piling, cycled letters, number of passes).
 
     Each pass moves the whole 0-factor from the bottom to the top in
     place.  Cycling a tile never cancels in a cyclically reduced piling,
@@ -478,8 +461,7 @@ def _pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent], int]:
         raise SplitInput("support graph is disconnected")
     q = p.copy()
     apex = min(supp)
-    cycling = _events(q.graph.n, "cycling")
-    events: list[CyclingEvent] = []
+    events: list[Letter] = []
     passes = 0
     while True:
         letters = _extract(q, exclude=apex)
@@ -487,13 +469,14 @@ def _pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent], int]:
             return q, events, passes
         passes += 1
         _fold(q, letters)
-        events += [cycling[i][sign] for i, sign in letters]
+        events += letters
 
 
-def pyramidalize(p: Piling) -> tuple[Piling, list[CyclingEvent]]:
-    """Cycle 0-factor tiles bottom-to-top until the piling is pyramidal.
-    The number of passes is bounded by the eccentricity of the apex in
-    the support graph, hence by the number of generators."""
+def pyramidalize(p: Piling) -> tuple[Piling, list[Letter]]:
+    """Cycle 0-factor tiles bottom-to-top until the piling is pyramidal;
+    also returns the cycled letters in order.  The number of passes is
+    bounded by the eccentricity of the apex in the support graph, hence
+    by the number of generators."""
     q, events, _ = _pyramidalize(p)
     return q, events
 

@@ -28,6 +28,15 @@ def abelian_graph() -> DefiningGraph:
     return build_graph(("a1", "a2"), [("a1", "a2")])
 
 
+def random_graph(rng: random.Random, n: int) -> DefiningGraph:
+    """n generators; each pair commutes with one probability drawn per graph."""
+    names = [f"a{i}" for i in range(1, n + 1)]
+    density = rng.random()
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+             if rng.random() < density]
+    return build_graph(names, pairs)
+
+
 def random_word(g: DefiningGraph, length: int, rng: random.Random):
     return tuple(Letter(rng.randrange(1, g.n + 1), rng.choice((1, -1)))
                  for _ in range(length))

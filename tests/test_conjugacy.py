@@ -9,15 +9,17 @@ from raag import (
     conjugate_in_raag,
     cyclic_equal,
     cyclic_normal_factors,
+    cyclic_reduce,
     inverse_word,
     is_cyclic_normal,
+    is_cyclically_reduced,
     is_normal,
     kmp_first_occurrence,
     normal_form,
     parse_word,
     pi_star,
 )
-from .conftest import random_equivalent_rewrite, random_word
+from .conftest import random_equivalent_rewrite, random_graph, random_word
 
 EXAMPLE_WORD = "a2^-2 a4^-1 a3 a2 a4 a1 a2 a1^-1 a2^2 a4^-1"
 
@@ -42,6 +44,44 @@ def test_is_cyclic_normal(example_graph):
     assert not is_cyclic_normal(g, parse_word(g, "a4^-1 a3 a2^-1 a1 a2 a1^-1 a2 a2"))
     # not even reduced
     assert not is_cyclic_normal(g, parse_word(g, "a1 a1^-1"))
+
+
+def test_is_cyclic_normal_matches_definition():
+    """One normality check of ww agrees with the definition: w normal,
+    pi(w) cyclically reduced and ww normal."""
+    rng = random.Random(31)
+    yes = 0
+    for _ in range(4000):
+        g = random_graph(rng, rng.randrange(1, 7))
+        w = random_word(g, rng.randrange(0, 13), rng)
+        factors = cyclic_normal_factors(g, w).factors
+        if factors and rng.random() < 0.5:
+            # a rotation of a cyclic normal factor: mostly YES cases
+            f = rng.choice(factors)
+            t = rng.randrange(len(f))
+            w = f[t:] + f[:t]
+        want = not w or (is_normal(g, w) and is_cyclically_reduced(pi_star(g, w))
+                         and is_normal(g, w + w))
+        assert is_cyclic_normal(g, w) == want, w
+        yes += want
+    assert 1000 < yes < 3000
+
+
+def test_events_conjugate_input_to_factors():
+    """The whole log, reductions and cyclings alike, is a conjugator
+    from the input word to the concatenated cyclic normal factors."""
+    rng = random.Random(37)
+    sizes = [rng.randrange(2, 8) for _ in range(1500)] + [16] * 100
+    events = reductions = 0
+    for n in sizes:
+        g = random_graph(rng, n)
+        c = random_word(g, rng.randrange(0, 8), rng)
+        w = c + random_word(g, rng.randrange(0, 16), rng) + inverse_word(c)
+        f = cyclic_normal_factors(g, w)
+        assert pi_star(g, inverse_word(f.events) + w + f.events) == pi_star(g, f.concat())
+        events += len(f.events)
+        reductions += len(cyclic_reduce(pi_star(g, w))[1])
+    assert 0 < reductions < events
 
 
 def test_cyclic_normal_factors_golden(example_graph):
