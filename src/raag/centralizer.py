@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DefiningGraph, Word
-from .conjugacy import CyclicNormalFactors, kmp_first_occurrence
+from .conjugacy import CyclicNormalFactors, _prefix_function
 
 
 class EmptyFactor(ValueError):
@@ -22,15 +22,19 @@ class CentralizerGens:
 def minimal_root(w: Word) -> tuple[Word, int]:
     """Shortest prefix z and maximal r with z^r == w letter-for-letter.
 
-    The first occurrence of w inside ww minus its first letter starts at
-    the least t > 0 with rotate(w, t) == w.  The rotations fixing w form
-    a subgroup of Z_|w|, so t divides |w| and w == w[:t]^(|w|/t) for
-    any word w.
+    With b the longest proper border of w (last entry of its prefix
+    function), p = |w| - b is the least period of w.  If p divides |w|
+    then w == w[:p]^(|w|/p), and no shorter root exists since a root's
+    length is a period.  Otherwise a period q < |w| dividing |w| would
+    give p < q <= |w|/2, so by Fine and Wilf gcd(p, q) would be a period,
+    forcing p | q | |w|; hence w is its own root.  O(|w|).
     """
     if not w:
         raise EmptyFactor("the empty word has no minimal root")
-    t = kmp_first_occurrence((w + w)[1:], w) + 1
-    return w[:t], len(w) // t
+    p = len(w) - _prefix_function(w)[-1]
+    if len(w) % p:
+        return w, 1
+    return w[:p], len(w) // p
 
 
 def centralizer_generators(g: DefiningGraph, factors: CyclicNormalFactors) -> CentralizerGens:

@@ -212,10 +212,14 @@ def cmd_bench(args):
             conjugate_in_raag(g, w, v)
             samples.append(time.perf_counter() - t0)
         t = statistics.median(samples)
-        rows.append({"n": n, "seconds": round(t, 6),
-                     "seconds_per_letter": round(t / n, 12)})
+        rows.append({"n": n} if args.no_timing else
+                    {"n": n, "seconds": round(t, 6), "seconds_per_letter": round(t / n, 12)})
     if args.json:
         print(json.dumps(rows))
+    elif args.no_timing:
+        print(f"{'n':>10}")
+        for r in rows:
+            print(f"{r['n']:>10}")
     else:
         print(f"{'n':>10} {'seconds':>12} {'s/letter':>14}")
         for r in rows:

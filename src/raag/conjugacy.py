@@ -61,11 +61,9 @@ def cyclic_normal_factors(g: DefiningGraph, w: Word) -> CyclicNormalFactors:
     return CyclicNormalFactors(tuple(factors), tuple(components), tuple(events))
 
 
-def kmp_first_occurrence(text, pattern):
-    """Index of the first occurrence of pattern in text, or None.
-    Works on any sequence of comparable items; O(|text|+|pattern|)."""
-    if not pattern:
-        return 0
+def _prefix_function(pattern) -> list[int]:
+    """KMP failure table: entry i is the length of the longest proper
+    prefix of pattern[:i+1] that is also its suffix; O(|pattern|)."""
     fail = [0] * len(pattern)
     k = 0
     for i in range(1, len(pattern)):
@@ -74,6 +72,15 @@ def kmp_first_occurrence(text, pattern):
         if pattern[i] == pattern[k]:
             k += 1
         fail[i] = k
+    return fail
+
+
+def kmp_first_occurrence(text, pattern):
+    """Index of the first occurrence of pattern in text, or None.
+    Works on any sequence of comparable items; O(|text|+|pattern|)."""
+    if not pattern:
+        return 0
+    fail = _prefix_function(pattern)
     k = 0
     for i, item in enumerate(text):
         while k and item != pattern[k]:

@@ -5,11 +5,15 @@ Vertices and labeled oriented edges describe the 1-skeleton together
 with its labeling; optional square records let us check the local
 convexity hypothesis.  Paths are coded as based words: a start vertex
 plus a word whose letters are followed through the edge lookup table.
+Walks run on integer vertex ids, one letter -> next id map per vertex;
+names appear only at the ends of ``trace`` and ``reach_by_centralizer``.
+The decider answers YES as soon as the aligned base of the first loop
+is the second loop's base, without building the centralizer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, NamedTuple
 
 from .core import DefiningGraph, Letter, Word, inverse_word, parse_word
@@ -43,7 +47,13 @@ class Edge(NamedTuple):
 
 class CubeComplexMap:
     """Immutable after construction; the (vertex, letter) -> vertex
-    lookup table is precomputed once and shared read-only."""
+    lookup table ``delta`` is precomputed once and shared read-only.
+
+    ``delta`` keeps the first edge for each (vertex, letter) key.  For
+    the walks, every name that a vertex record or an edge mentions gets
+    an integer id, and ``_out[k]`` maps a letter to the id that ``delta``
+    leads to from the vertex with id k: the same table on ids, O(edges)
+    entries like ``delta``."""
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge],
                  squares: Iterable[tuple[str, str, str, str]] | None = None):
@@ -59,9 +69,14 @@ class CubeComplexMap:
                     self._multi_keys.add(key)
                 else:
                     self.delta[key] = dest
-
-    def letters_at(self, x: str):
-        return [l for (v, l) in self.delta if v == x]
+        names = dict.fromkeys(self.vertices)
+        for e in self.edges:
+            names[e.src] = names[e.dst] = None
+        self._names = tuple(names)
+        self._ids = {x: k for k, x in enumerate(self._names)}
+        self._out: list[dict[Letter, int]] = [{} for _ in self._names]
+        for (x, l), y in self.delta.items():
+            self._out[self._ids[x]][l] = self._ids[y]
 
 
 @dataclass(frozen=True)
@@ -114,12 +129,12 @@ def _square_corners(by_id: dict[str, Edge], g: DefiningGraph, square, problems):
     def endpoints(e: Edge, s: int):
         return (e.src, e.dst) if s == 1 else (e.dst, e.src)
 
-    for s1, s2 in product((1, -1), repeat=2):
+    # labels and their commutation do not depend on the orientation
+    labels_fit = (e1.label == e3.label and e2.label == e4.label
+                  and g.commutes(e1.label, e2.label))
+    orientations = product((1, -1), repeat=2) if labels_fit else ()
+    for s1, s2 in orientations:
         s3, s4 = -s1, -s2
-        if e1.label != e3.label or e2.label != e4.label:
-            continue
-        if not g.commutes(e1.label, e2.label):
-            continue
         a1, b1 = endpoints(e1, s1)
         a2, b2 = endpoints(e2, s2)
         a3, b3 = endpoints(e3, s3)
@@ -179,18 +194,17 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
         directions: dict[str, list[Letter]] = {x: [] for x in cx.vertices}
         for (v, l) in cx.delta:
             directions[v].append(l)
+        # labels are range-checked by now, so commutation is a set lookup
+        noncommute = g.noncommute
         for x in cx.vertices:
-            ds = directions[x]
-            for i in range(len(ds)):
-                for j in range(i + 1, len(ds)):
-                    d1, d2 = ds[i], ds[j]
-                    if d1.gen == d2.gen or not g.commutes(d1.gen, d2.gen):
-                        continue
-                    if (x, frozenset({d1, d2})) not in provided:
-                        convexity_ok = False
-                        problems.append(
-                            f"convexity violation at vertex {x}: commuting "
-                            f"directions {d1} and {d2} have no square corner")
+            for d1, d2 in combinations(directions[x], 2):
+                if d1.gen == d2.gen or d2.gen in noncommute[d1.gen]:
+                    continue
+                if (x, frozenset({d1, d2})) not in provided:
+                    convexity_ok = False
+                    problems.append(
+                        f"convexity violation at vertex {x}: commuting "
+                        f"directions {d1} and {d2} have no square corner")
     elif convexity_checked:
         squares_ok = False
 
@@ -198,15 +212,27 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
                             squares_ok, convexity_checked, convexity_ok, problems)
 
 
+def _walk(out: list[dict[Letter, int]], k: int, w: Word) -> int | None:
+    """Vertex id reached from id k along w, or None at the first
+    undefined step."""
+    try:
+        for l in w:
+            k = out[k][l]
+    except KeyError:
+        return None
+    return k
+
+
 def trace(cx: CubeComplexMap, x: str, w: Word):
     """Follow the word's letters through the lookup table; None at the
-    first undefined step."""
-    delta = cx.delta
-    for l in w:
-        x = delta.get((x, l))
-        if x is None:
-            return None
-    return x
+    first undefined step.  The empty word leads from x to x, even when x
+    names no vertex."""
+    if not w:
+        return x
+    k = cx._ids.get(x)
+    if k is not None:
+        k = _walk(cx._out, k, w)
+    return None if k is None else cx._names[k]
 
 
 def based_word(cx: CubeComplexMap, base: str, w: Word) -> BasedWord:
@@ -257,18 +283,23 @@ def reach_by_centralizer(cx: CubeComplexMap, x_start: str,
     for l in sorted(gens.link_gens):
         moves.append((Letter(l, 1),))
         moves.append((Letter(l, -1),))
-    visited = {x_start}
-    frontier = [x_start]
+    start = cx._ids.get(x_start)
+    if start is None:
+        return {x_start}
+    out = cx._out
+    visited = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for x in frontier:
+        for k in frontier:
             for mv in moves:
-                y = trace(cx, x, mv)
+                y = _walk(out, k, mv)
                 if y is not None and y not in visited:
                     visited.add(y)
                     nxt.append(y)
         frontier = nxt
-    return visited
+    names = cx._names
+    return {names[k] for k in visited}
 
 
 def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
@@ -279,6 +310,9 @@ def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
     factor collections, align the first loop's factors onto the second's
     by based cyclings, then ask whether some centralizer word of the
     common cyclic normal form traces from the first base to the second.
+    The empty centralizer word leads from a base to itself, so when the
+    aligned base already is the second base the answer is YES without
+    that search.
     """
     b1, f1 = normalize_based(cx, g, bw1)
     b2, f2 = normalize_based(cx, g, bw2)
@@ -294,6 +328,8 @@ def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
         if nxt is None:
             raise ReplayFailure(f"alignment letters untraceable from {b1}")
         b1 = nxt
+    if b1 == b2:
+        return True
     return b2 in reach_by_centralizer(cx, b1, centralizer_generators(g, f2))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .centralizer import CentralizerGens
 from .core import DefiningGraph, Letter, Word, inverse_word
-from .cubecomplex import CubeComplexMap, trace
+from .cubecomplex import CubeComplexMap
 
 
 class BoundExceeded(RuntimeError):
@@ -73,6 +73,16 @@ def oracle_conjugate(g: DefiningGraph, w: Word, v: Word,
     return not cw.isdisjoint(cv)
 
 
+def _delta_trace(cx: CubeComplexMap, x: str, word: Word):
+    """End of the walk along word through ``cx.delta``, or None; kept
+    apart from the production walk on vertex ids."""
+    for l in word:
+        x = cx.delta.get((x, l))
+        if x is None:
+            return None
+    return x
+
+
 def _loop_closure(cx, g: DefiningGraph, base: str, w: Word,
                   max_states: int) -> frozenset:
     """Closure of a based loop under the four pullback-able moves:
@@ -80,13 +90,6 @@ def _loop_closure(cx, g: DefiningGraph, base: str, w: Word,
     parallel transport of the base along an edge whose label commutes
     with the loop's whole support."""
     all_letters = [Letter(i, s) for i in range(1, g.n + 1) for s in (1, -1)]
-
-    def trace_ok(x, word):
-        for l in word:
-            x = cx.delta.get((x, l))
-            if x is None:
-                return False
-        return True
 
     start = (base, w)
     seen = {start}
@@ -107,7 +110,7 @@ def _loop_closure(cx, g: DefiningGraph, base: str, w: Word,
             for l in all_letters:
                 if all(g.commutes(l.gen, s) for s in support):
                     y = cx.delta.get((x, l))
-                    if y is not None and trace_ok(y, word):
+                    if y is not None and _delta_trace(cx, y, word) is not None:
                         succs.append((y, word))
             for s in succs:
                 if s not in seen:
@@ -169,7 +172,7 @@ def reach_by_preferred_enumeration(cx: CubeComplexMap, x_start: str,
                 blocks(i + 1, y, budget - spent)
                 if spent == budget:
                     break
-                y = trace(cx, y, zword)
+                y = _delta_trace(cx, y, zword)
                 if y is None:
                     break
                 spent += 1

@@ -156,6 +156,10 @@ def acceptance_complexes():
     return [(g1, cx1), (g2, cx2), (g3, cx3)]
 
 
+def letters_at(cx, x):
+    return [l for (v, l) in cx.delta if v == x]
+
+
 def enumerate_loops(cx, g, max_len):
     loops = []
     for base in cx.vertices:
@@ -166,7 +170,7 @@ def enumerate_loops(cx, g, max_len):
                 loops.append(based_word(cx, base, w))
             if len(w) == max_len:
                 continue
-            for l in cx.letters_at(x):
+            for l in letters_at(cx, x):
                 stack.append((cx.delta[(x, l)], w + (l,)))
     return loops
 

@@ -1,8 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
 from raag import (
+    Letter,
     centralizer_generators,
     conjugate_in_raag,
     cyclic_normal_factors,
@@ -99,3 +101,15 @@ def test_centralizer_gens_commute_soundness(example_graph):
             assert commutes_with(g, z, v)
         for j in gens.link_gens:
             assert commutes_with(g, (Letter(j, 1),), v)
+
+
+def test_minimal_root_exhaustive_binary():
+    """Every word over {a1, a2} up to length 12, including those whose
+    least period does not divide their length (a1 a2 a1), against a
+    direct prefix-period scan."""
+    letters = (Letter(1, 1), Letter(2, 1))
+    for n in range(1, 13):
+        for w in product(letters, repeat=n):
+            periods = [t for t in range(1, n + 1)
+                       if n % t == 0 and w[:t] * (n // t) == w]
+            assert minimal_root(w) == (w[:periods[0]], n // periods[0])

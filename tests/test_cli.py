@@ -158,6 +158,20 @@ def test_bench_small(group_file, capsys):
     assert all(r["seconds"] >= 0 for r in rows)
 
 
+def test_bench_no_timing_is_reproducible(group_file, capsys):
+    outs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "bench", "-g", group_file, "--sizes", "50", "100",
+                           "--repeats", "1", "--no-timing")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].split() == ["n", "50", "100"]
+    code, out, _ = run(capsys, "bench", "-g", group_file, "--json", "--sizes", "50",
+                       "--repeats", "1", "--no-timing")
+    assert code == 0 and json.loads(out) == [{"n": 50}]
+
+
 def test_bad_word_exits_2(group_file, capsys):
     code, _, err = run(capsys, "normal-form", "-g", group_file,
                        "--no-timing", "-w", "a9")

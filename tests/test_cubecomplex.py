@@ -1,7 +1,14 @@
+import random
+
 import pytest
 
+import raag.cubecomplex
 from raag import (
+    CentralizerGens,
     ComplexSyntaxError,
+    CubeComplexMap,
+    Edge,
+    Letter,
     NotALoop,
     UntraceableWord,
     based_cycle,
@@ -11,6 +18,7 @@ from raag import (
     conjugate_in_raag,
     cyclic_normal_factors,
     groupoid_conjugate,
+    inverse_word,
     normalize_based,
     parse_based_word,
     parse_complex,
@@ -20,6 +28,7 @@ from raag import (
     validate,
 )
 from raag.cubecomplex import trace
+from .conftest import random_word
 
 FREE2 = build_graph(("a1", "a2"), [])
 
@@ -112,6 +121,13 @@ def test_validate_missing_square_is_convexity_violation():
     report = validate(cx, g)
     assert not report.ok
     assert not report.squares_ok
+    # the square complex's record closes, but over non-commuting labels
+    _, cx = square_complex()
+    report = validate(cx, FREE2)
+    assert not report.squares_ok
+    assert report.problems == [
+        "square ('f1', 'f3', 'f1', 'f2'): no orientation closes the boundary "
+        "with matching opposite labels and commuting sides"]
 
 
 def test_trace_and_based_word():
@@ -205,6 +221,92 @@ def test_reach_matches_preferred_enumeration():
             for x in cx.vertices:
                 assert reach_by_centralizer(cx, x, gens) == \
                     reach_by_preferred_enumeration(cx, x, gens, len(cx.vertices))
+
+
+def delta_trace(cx, x, w):
+    """Reference walk through the public ``delta`` table."""
+    for l in w:
+        x = cx.delta.get((x, l))
+        if x is None:
+            return None
+    return x
+
+
+def delta_reach(cx, x_start, gens):
+    """Reference fixpoint of the centralizer moves on vertex names."""
+    moves = [m for z, _r in gens.roots for m in (z, inverse_word(z))]
+    moves += [(Letter(l, s),) for l in sorted(gens.link_gens) for s in (1, -1)]
+    visited, frontier = {x_start}, [x_start]
+    while frontier:
+        x = frontier.pop()
+        for mv in moves:
+            y = delta_trace(cx, x, mv)
+            if y is not None and y not in visited:
+                visited.add(y)
+                frontier.append(y)
+    return visited
+
+
+def random_partial_complex(rng):
+    """A random partial complex: some edges run to undeclared vertices,
+    some (vertex, letter) keys carry two edges, and generators above
+    ``n_used`` label no edge at all."""
+    n = rng.randrange(1, 5)
+    g = build_graph([f"a{i}" for i in range(1, n + 1)], [])
+    declared = [f"v{i}" for i in range(rng.randrange(1, 7))]
+    ends = declared + [f"u{i}" for i in range(rng.randrange(0, 3))]
+    n_used = rng.randrange(1, n + 1)
+    edges = [Edge(f"e{i}", rng.choice(ends), rng.choice(ends), rng.randrange(1, n_used + 1))
+             for i in range(rng.randrange(0, 4 * len(ends)))]
+    if edges:
+        e = rng.choice(edges)
+        edges.append(Edge("dup", e.src, rng.choice(ends), e.label))
+    return g, CubeComplexMap(declared, edges), ends + ["nowhere"]
+
+
+def test_trace_and_reach_match_delta_walk():
+    rng = random.Random(606)
+    for _ in range(400):
+        g, cx, starts = random_partial_complex(rng)
+        for x in starts:
+            for w in [()] + [random_word(g, rng.randrange(1, 9), rng) for _ in range(6)]:
+                assert trace(cx, x, w) == delta_trace(cx, x, w)
+            roots = tuple((random_word(g, rng.randrange(1, 4), rng), 1)
+                          for _ in range(rng.randrange(0, 3)))
+            link = frozenset(j for j in range(1, g.n + 1) if rng.random() < 0.3)
+            gens = CentralizerGens(roots, link)
+            assert reach_by_centralizer(cx, x, gens) == delta_reach(cx, x, gens)
+
+
+def test_aligned_base_answers_yes_without_centralizer(monkeypatch):
+    """The README's YES line: loop 2's base, carried along its events,
+    is loop 1's base, so neither centralizer step runs; the trap's NO
+    pair still runs both."""
+    def boom(*args):
+        raise AssertionError("centralizer search ran")
+
+    monkeypatch.setattr(raag.cubecomplex, "centralizer_generators", boom)
+    monkeypatch.setattr(raag.cubecomplex, "reach_by_centralizer", boom)
+    A = based_word(TRAP, "x1", parse_word(FREE2, "a1"))
+    B = based_word(TRAP, "x2", parse_word(FREE2, "a2^-1 a1 a2"))
+    assert groupoid_conjugate(TRAP, FREE2, A, B)
+    assert groupoid_conjugate(TRAP, FREE2, A, A)
+
+    calls = []
+
+    def counted(real):
+        def fn(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return fn
+
+    monkeypatch.setattr(raag.cubecomplex, "centralizer_generators",
+                        counted(centralizer_generators))
+    monkeypatch.setattr(raag.cubecomplex, "reach_by_centralizer",
+                        counted(reach_by_centralizer))
+    C = based_word(TRAP, "x1", parse_word(FREE2, "a2 a1 a2^-1"))
+    assert not groupoid_conjugate(TRAP, FREE2, A, C)
+    assert calls == ["centralizer_generators", "reach_by_centralizer"]
 
 
 def test_groupoid_conjugate_rejects_non_loops():
