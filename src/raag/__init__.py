@@ -1,78 +1,46 @@
 """Linear-time word and conjugacy deciders for right-angled Artin groups,
-plus free-homotopy decision for loops in square complexes built over them."""
+plus free-homotopy decision for loops in square complexes built over them.
+
+The names below are loaded on first use (PEP 562), so ``import raag`` and
+the CLI load only the modules they touch.
+"""
 
 __version__ = "0.1.0"
 
-from .core import (
-    DefiningGraph,
-    Letter,
-    PresentationError,
-    WordSyntaxError,
-    build_graph,
-    format_word,
-    inverse_word,
-    load_presentation,
-    parse_presentation,
-    parse_word,
-    support_graph,
-    support_of,
-)
-from .piling import (
-    EmptyPiling,
-    ExtractionStuck,
-    NoBottomTile,
-    NotCyclicallyReduced,
-    Piling,
-    PilingError,
-    PilingTooLarge,
-    SplitInput,
-    cycle_bottom,
-    cyclic_reduce,
-    decompose,
-    format_piling,
-    is_cyclically_reduced,
-    is_pyramidal,
-    pi_star,
-    pyramidalize,
-    sigma_star,
-    split_components,
-)
-from .conjugacy import (
-    CyclicNormalFactors,
-    conjugate_in_raag,
-    cyclic_equal,
-    cyclic_normal_factors,
-    is_cyclic_normal,
-    is_normal,
-    kmp_first_occurrence,
-    normal_form,
-)
-from .centralizer import CentralizerGens, centralizer_generators, minimal_root
-from .cubecomplex import (
-    BasedWord,
-    ComplexSyntaxError,
-    CubeComplexMap,
-    Edge,
-    NotALoop,
-    ReplayFailure,
-    UntraceableWord,
-    ValidationReport,
-    based_cycle,
-    based_word,
-    groupoid_conjugate,
-    load_complex,
-    normalize_based,
-    parse_based_word,
-    parse_complex,
-    reach_by_centralizer,
-    trace,
-    validate,
-)
-from .oracle import (
-    BoundExceeded,
-    loop_class_key,
-    oracle_conjugate,
-    oracle_equal,
-    oracle_groupoid_conjugate,
-    reach_by_preferred_enumeration,
-)
+# exported name -> home module; the keys double as __all__
+_HOME = {name: home for home, names in (
+    ("core", "DefiningGraph Letter PresentationError WordSyntaxError build_graph "
+             "format_word inverse_word load_presentation parse_presentation "
+             "parse_word support_graph support_of"),
+    ("piling", "EmptyPiling ExtractionStuck NoBottomTile NotCyclicallyReduced Piling "
+               "PilingError PilingTooLarge SplitInput cycle_bottom cyclic_reduce "
+               "decompose format_piling is_cyclically_reduced is_pyramidal pi_star "
+               "pyramidalize sigma_star split_components"),
+    ("conjugacy", "CyclicNormalFactors conjugate_in_raag cyclic_equal "
+                  "cyclic_normal_factors is_cyclic_normal is_normal "
+                  "kmp_first_occurrence normal_form"),
+    ("centralizer", "CentralizerGens centralizer_generators minimal_root"),
+    ("cubecomplex", "BasedWord ComplexSyntaxError CubeComplexMap Edge NotALoop "
+                    "ReplayFailure UntraceableWord ValidationReport based_cycle "
+                    "based_word groupoid_conjugate load_complex normalize_based "
+                    "parse_based_word parse_complex reach_by_centralizer trace validate"),
+    ("oracle", "BoundExceeded loop_class_key oracle_conjugate oracle_equal "
+               "oracle_groupoid_conjugate reach_by_preferred_enumeration"),
+) for name in names.split()}
+
+__all__ = tuple(_HOME)
+
+
+def __getattr__(name: str):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{home}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -3,7 +3,7 @@ the minimal root of each non-split factor, plus every generator that
 commutes with the whole support without occurring in it."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DefiningGraph, Word
 from .conjugacy import CyclicNormalFactors, _prefix_function
@@ -13,8 +13,7 @@ class EmptyFactor(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CentralizerGens:
+class CentralizerGens(NamedTuple):
     roots: tuple[tuple[Word, int], ...]  # (z_i, r_i) with z_i^r_i == w_i letterwise
     link_gens: frozenset[int]
 

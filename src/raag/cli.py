@@ -2,13 +2,19 @@
 
 Exit codes: 0 for completed decisions (YES and NO alike), 2 for parse
 or validation errors in the inputs, 1 for internal failures.
+
+Each process loads only what its subcommand needs: ``word-problem``,
+``normal-form``, ``cyclic-normal-form`` and ``conjugate`` run on
+``core``, ``piling`` and ``conjugacy``, which this module imports.
+``centralizer`` also loads ``raag.centralizer``; ``validate-complex``
+and ``groupoid-conjugate`` load ``raag.cubecomplex`` (and through it
+``raag.centralizer``); the ``oracle-*`` subcommands load ``raag.oracle``
+(and through it both); ``bench`` loads ``random`` and ``statistics``.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import random
-import statistics
 import sys
 import time
 
@@ -24,16 +30,6 @@ from .core import (
 )
 from .piling import pi_star
 from .conjugacy import _same_class, conjugate_in_raag, cyclic_normal_factors, normal_form
-from .centralizer import centralizer_generators
-from .cubecomplex import (
-    ComplexSyntaxError,
-    UntraceableWord,
-    groupoid_conjugate,
-    load_complex,
-    parse_based_word,
-    validate,
-)
-from .oracle import BoundExceeded, oracle_conjugate, oracle_equal
 
 
 class _InputError(Exception):
@@ -77,8 +73,8 @@ def cmd_normal_form(args):
     g = _load_group(args.group)
     w = _word(g, args.word)
     nf = normal_form(g, w)
-    _emit(args, {"normal_form": format_word(g, nf), "length": len(nf)},
-          format_word(g, nf))
+    text = format_word(g, nf)
+    _emit(args, {"normal_form": text, "length": len(nf)}, text)
 
 
 def cmd_cyclic_normal_form(args):
@@ -113,6 +109,8 @@ def cmd_conjugate(args):
 
 
 def cmd_centralizer(args):
+    from .centralizer import centralizer_generators
+
     g = _load_group(args.group)
     w = _word(g, args.word)
     factors = cyclic_normal_factors(g, w)
@@ -130,6 +128,8 @@ def cmd_centralizer(args):
 
 
 def cmd_validate_complex(args):
+    from .cubecomplex import ComplexSyntaxError, load_complex, validate
+
     g = _load_group(args.group)
     try:
         cx = load_complex(args.complex, g)
@@ -148,6 +148,9 @@ def cmd_validate_complex(args):
 
 
 def cmd_groupoid_conjugate(args):
+    from .cubecomplex import (ComplexSyntaxError, UntraceableWord, groupoid_conjugate,
+                              load_complex, parse_based_word, validate)
+
     g = _load_group(args.group)
     try:
         cx = load_complex(args.complex, g)
@@ -165,6 +168,8 @@ def cmd_groupoid_conjugate(args):
 
 
 def cmd_oracle_equal(args):
+    from .oracle import BoundExceeded, oracle_equal
+
     g = _load_group(args.group)
     try:
         ans = oracle_equal(g, _word(g, args.word), _word(g, args.other))
@@ -174,6 +179,8 @@ def cmd_oracle_equal(args):
 
 
 def cmd_oracle_conjugate(args):
+    from .oracle import BoundExceeded, oracle_conjugate
+
     g = _load_group(args.group)
     try:
         ans = oracle_conjugate(g, _word(g, args.word), _word(g, args.other))
@@ -199,6 +206,9 @@ def random_reduced_word(g: DefiningGraph, length: int, rng: random.Random):
 
 
 def cmd_bench(args):
+    import random
+    import statistics
+
     g = _load_group(args.group)
     rng = random.Random(args.seed)
     sizes = args.sizes or [10_000 * 2 ** k for k in range(5)]

@@ -7,14 +7,13 @@ rotation, so conjugacy reduces to cyclic string equality per factor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DefiningGraph, Word
 from .piling import _drain, cyclic_reduce, pi_star, pyramidalize, split_components
 
 
-@dataclass(frozen=True)
-class CyclicNormalFactors:
+class CyclicNormalFactors(NamedTuple):
     """Mutually commuting cyclic normal forms, one per connected
     component of the support graph, with the letters the cycling moved:
     the bottom letters of the cyclic reductions first, then the cycled

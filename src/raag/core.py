@@ -7,8 +7,8 @@ generator touches exactly the stacks of its non-commuting neighbours.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import chain, groupby
 from typing import Iterable, NamedTuple
 
 
@@ -52,8 +52,7 @@ def inverse_word(w: Word) -> Word:
     return tuple(map(_inverses(max(w)[0]).__getitem__, reversed(w)))
 
 
-@dataclass(frozen=True)
-class DefiningGraph:
+class DefiningGraph(NamedTuple):
     """A RAAG presentation: ordered generator names plus the
     non-commutation adjacency (an edge joins generators that do NOT
     commute).  Generator order is part of the contract: normal forms
@@ -78,19 +77,20 @@ class DefiningGraph:
         self.check_gen(j)
         return i != j and j not in self.noncommute[i]
 
-    @cached_property
-    def _index_of(self) -> dict[str, int]:
-        return {nm: i for i, nm in enumerate(self.names, start=1)}
-
-    def index(self, name: str) -> int:
+    def index(self, name: str) -> int:  # shadows tuple.index on purpose
         try:
-            return self._index_of[name]
+            return _index_of(self.names)[name]
         except KeyError:
             raise WordSyntaxError(f"unknown generator name {name!r}") from None
 
     def name(self, i: int) -> str:
         self.check_gen(i)
         return self.names[i - 1]
+
+
+@lru_cache
+def _index_of(names: tuple[str, ...]) -> dict[str, int]:
+    return {nm: i for i, nm in enumerate(names, start=1)}
 
 
 def build_graph(names: Iterable[str], commuting_pairs: Iterable[tuple[str, str]]) -> DefiningGraph:
@@ -117,8 +117,7 @@ def build_graph(names: Iterable[str], commuting_pairs: Iterable[tuple[str, str]]
     return DefiningGraph(names, tuple(nbrs))
 
 
-@dataclass(frozen=True)
-class SupportGraph:
+class SupportGraph(NamedTuple):
     """The full non-commutation subgraph spanned by the generators
     occurring in a word or piling, with its connected components in
     canonical order (each component sorted, components by minimum)."""
@@ -162,37 +161,43 @@ def support_graph_of_gens(g: DefiningGraph, gens: Iterable[int]) -> SupportGraph
 
 def parse_word(g: DefiningGraph, text: str) -> Word:
     """Parse whitespace-separated tokens ``name`` or ``name^k`` (k a
-    nonzero integer, expanded to |k| letters)."""
-    letters: list[Letter] = []
-    for tok in text.split():
-        name, sep, exp = tok.partition("^")
-        if sep:
-            try:
-                k = int(exp)
-            except ValueError:
-                raise WordSyntaxError(f"malformed exponent in token {tok!r}") from None
-            if k == 0:
-                raise WordSyntaxError(f"zero exponent in token {tok!r}")
-        else:
-            k = 1
-        i = g.index(name)
-        sign = 1 if k > 0 else -1
-        letters.extend([Letter(i, sign)] * abs(k))
-    return tuple(letters)
+    nonzero integer, expanded to |k| letters).  Each distinct token is
+    parsed once per call, into a run of interned ``letter_table`` letters,
+    in order of first occurrence, so the first bad token raises."""
+    tokens = text.split()
+    rows = letter_table(g.n)
+    runs = {tok: _token_run(g, rows, tok) for tok in dict.fromkeys(tokens)}
+    return tuple(chain.from_iterable(map(runs.__getitem__, tokens)))
+
+
+def _token_run(g: DefiningGraph, rows, tok: str) -> Word:
+    name, sep, exp = tok.partition("^")
+    if sep:
+        try:
+            k = int(exp)
+        except ValueError:
+            raise WordSyntaxError(f"malformed exponent in token {tok!r}") from None
+        if k == 0:
+            raise WordSyntaxError(f"zero exponent in token {tok!r}")
+    else:
+        k = 1
+    i = g.index(name)
+    return (rows[i][1 if k > 0 else -1],) * abs(k)
 
 
 def format_word(g: DefiningGraph, w: Word) -> str:
-    """Canonical spelling: runs of one letter collapse to ``name^k``."""
+    """Canonical spelling: runs of one letter collapse to ``name^k``.
+    Each distinct (letter, run length) is spelled once per call."""
+    spelled: dict[tuple[Letter, int], str] = {}
     out: list[str] = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        k = (j - i) * w[i].sign
-        name = g.name(w[i].gen)
-        out.append(name if k == 1 else f"{name}^{k}")
-        i = j
+    for l, run in groupby(w):
+        key = (l, len(list(run)))
+        tok = spelled.get(key)
+        if tok is None:
+            name = g.name(l.gen)
+            k = key[1] * l.sign
+            tok = spelled[key] = name if k == 1 else f"{name}^{k}"
+        out.append(tok)
     return " ".join(out)
 
 

@@ -12,11 +12,10 @@ is the second loop's base, without building the centralizer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, NamedTuple
 
-from .core import DefiningGraph, Letter, Word, inverse_word, parse_word
+from .core import DefiningGraph, Letter, Word, inverse_word, letter_table, parse_word
 from .conjugacy import CyclicNormalFactors, cyclic_equal, cyclic_normal_factors
 from .centralizer import CentralizerGens, centralizer_generators
 
@@ -79,15 +78,13 @@ class CubeComplexMap:
             self._out[self._ids[x]][l] = self._ids[y]
 
 
-@dataclass(frozen=True)
-class BasedWord:
+class BasedWord(NamedTuple):
     base: str
     word: Word
     end: str
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     determinism_ok: bool
     labels_ok: bool
     vertices_ok: bool
@@ -133,6 +130,7 @@ def _square_corners(by_id: dict[str, Edge], g: DefiningGraph, square, problems):
     labels_fit = (e1.label == e3.label and e2.label == e4.label
                   and g.commutes(e1.label, e2.label))
     orientations = product((1, -1), repeat=2) if labels_fit else ()
+    rows = letter_table(g.n)  # labels are range-checked before squares
     for s1, s2 in orientations:
         s3, s4 = -s1, -s2
         a1, b1 = endpoints(e1, s1)
@@ -142,11 +140,11 @@ def _square_corners(by_id: dict[str, Edge], g: DefiningGraph, square, problems):
         if not (b1 == a2 and b2 == a3 and b3 == a4 and b4 == a1):
             continue
         closed = True
-        l1, l2 = e1.label, e2.label
-        corners.add((a1, frozenset({Letter(l1, s1), Letter(l2, s2)})))
-        corners.add((a2, frozenset({Letter(l1, -s1), Letter(l2, s2)})))
-        corners.add((a3, frozenset({Letter(l1, -s1), Letter(l2, -s2)})))
-        corners.add((a4, frozenset({Letter(l1, s1), Letter(l2, -s2)})))
+        r1, r2 = rows[e1.label], rows[e2.label]
+        corners.add((a1, frozenset({r1[s1], r2[s2]})))
+        corners.add((a2, frozenset({r1[-s1], r2[s2]})))
+        corners.add((a3, frozenset({r1[-s1], r2[-s2]})))
+        corners.add((a4, frozenset({r1[s1], r2[-s2]})))
     if not closed:
         problems.append(
             f"square {square}: no orientation closes the boundary with "

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ commute a1 a4
 commute a2 a3
 commute a2 a4
 """
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FREE_GROUP = "gens a1 a2\n"
 
@@ -200,3 +206,33 @@ def test_non_loop_exits_2(free_group_file, complex_file, capsys):
                        "--loop1", "x1: a2", "--loop2", "x1: a1")
     assert code == 2
     assert "loop" in err
+
+
+COLD_IMPORT = """
+import json, sys
+before = set(sys.modules)
+import raag.cli
+loaded = set(sys.modules) - before
+code = raag.cli.main(sys.argv[1:])
+print(json.dumps([sorted(loaded), sorted(set(sys.modules) - before), code]))
+"""
+
+
+def test_cli_import_loads_only_the_word_deciders():
+    """A process loads the loop, centralizer and oracle modules, and the
+    heavy standard modules, only for the subcommands that use them."""
+    argv = ["groupoid-conjugate", "-g", "examples/free.group", "-x", "examples/trap.complex",
+            "--loop1", "x1: a1", "--loop2", "x2: a2^-1 a1 a2", "--json", "--no-timing"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT, *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out, result = proc.stdout.splitlines()
+    assert json.loads(out) == {"freely_homotopic": True}
+    on_import, after_main, code = json.loads(result)
+    assert code == 0
+    assert {"raag.core", "raag.piling", "raag.conjugacy"} <= set(on_import)
+    unwanted = {"raag.cubecomplex", "raag.centralizer", "raag.oracle", "dataclasses",
+                "inspect", "statistics", "random"}
+    assert sorted(unwanted.intersection(on_import)) == []
+    assert "raag.cubecomplex" in after_main

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from raag.core import letter_table
@@ -58,6 +60,21 @@ def test_parse_word_errors(example_graph):
     for bad in ("a5", "a1^", "a1^0", "a1^x", "^2", "a1^-"):
         with pytest.raises(WordSyntaxError):
             parse_word(g, bad)
+    # the first bad token in text order raises, also after the same name
+    # (or the same token) already parsed cleanly
+    for text, message in (
+            ("a5", "unknown generator name 'a5'"),
+            ("^2", "unknown generator name ''"),
+            ("a1^", "malformed exponent in token 'a1^'"),
+            ("a1^x", "malformed exponent in token 'a1^x'"),
+            ("a1^-", "malformed exponent in token 'a1^-'"),
+            ("a1^0", "zero exponent in token 'a1^0'"),
+            ("a1 a1^-2 a1^0", "zero exponent in token 'a1^0'"),
+            ("a1 a2 a1 a2 a5 a1^x", "unknown generator name 'a5'"),
+            ("a2^x a5 a2^x", "malformed exponent in token 'a2^x'")):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(g, text)
+        assert str(err.value) == message
 
 
 def test_format_word_collapses_runs(example_graph):
@@ -67,11 +84,62 @@ def test_format_word_collapses_runs(example_graph):
     assert format_word(g, ()) == ""
 
 
+def parse_word_per_token(g, text):
+    """Reference: one fresh Letter per token, no memo."""
+    letters = []
+    for tok in text.split():
+        name, sep, exp = tok.partition("^")
+        if sep:
+            try:
+                k = int(exp)
+            except ValueError:
+                raise WordSyntaxError(f"malformed exponent in token {tok!r}") from None
+            if k == 0:
+                raise WordSyntaxError(f"zero exponent in token {tok!r}")
+        else:
+            k = 1
+        i = g.index(name)
+        letters.extend([Letter(i, 1 if k > 0 else -1)] * abs(k))
+    return tuple(letters)
+
+
+def format_word_per_run(g, w):
+    """Reference: scan each run and spell it, no memo."""
+    out = []
+    i = 0
+    while i < len(w):
+        j = i
+        while j < len(w) and w[j] == w[i]:
+            j += 1
+        k = (j - i) * w[i].sign
+        name = g.name(w[i].gen)
+        out.append(name if k == 1 else f"{name}^{k}")
+        i = j
+    return " ".join(out)
+
+
 def test_format_parse_roundtrip(example_graph):
     g = example_graph
     for text in ("a1", "a1^-1 a2 a2 a3^4", "a4 a3 a2 a1"):
         w = parse_word(g, text)
         assert parse_word(g, format_word(g, w)) == w
+    # seeded random texts: few distinct tokens, so most repeat, with odd
+    # exponent spellings, odd spacing and runs longer than 3
+    rng = random.Random(2718)
+    for n in (4, 16, 64):
+        g = build_graph([f"a{i}" for i in range(1, n + 1)], [])
+        rows = letter_table(n)
+        for _ in range(60):
+            names = rng.sample(g.names, min(n, rng.randint(1, 6)))
+            toks = [rng.choice(names) + rng.choice(("", "^1", "^-1", "^2", "^-3", "^+4",
+                                                    "^07", f"^{rng.randint(-9, 9) or 1}"))
+                    for _ in range(rng.randint(0, 120))]
+            text = "".join(tok + rng.choice((" ", "  ", "\t", "\n")) for tok in toks)
+            w = parse_word(g, text)
+            assert w == parse_word_per_token(g, text)
+            assert all(l is rows[l.gen][l.sign] for l in w)
+            assert format_word(g, w) == format_word_per_run(g, w)
+            assert parse_word(g, format_word(g, w)) == w
 
 
 def test_inverse_word(example_graph):
