@@ -13,16 +13,15 @@ _HOME = {name: home for home, names in (
              "format_word inverse_word load_presentation parse_presentation "
              "parse_word support_graph support_of"),
     ("piling", "EmptyPiling ExtractionStuck NoBottomTile NotCyclicallyReduced Piling "
-               "PilingError PilingTooLarge SplitInput cycle_bottom cyclic_reduce "
-               "decompose format_piling is_cyclically_reduced is_pyramidal pi_star "
-               "pyramidalize sigma_star split_components"),
+               "PilingError PilingTooLarge cycle_bottom cyclic_reduce "
+               "is_cyclically_reduced pi_star pyramidalize sigma_star"),
     ("conjugacy", "CyclicNormalFactors conjugate_in_raag cyclic_equal "
                   "cyclic_normal_factors is_cyclic_normal is_normal "
                   "kmp_first_occurrence normal_form"),
     ("centralizer", "CentralizerGens centralizer_generators minimal_root"),
     ("cubecomplex", "BasedWord ComplexSyntaxError CubeComplexMap Edge NotALoop "
-                    "ReplayFailure UntraceableWord ValidationReport based_cycle "
-                    "based_word groupoid_conjugate load_complex normalize_based "
+                    "ReplayFailure UntraceableWord ValidationReport based_word "
+                    "groupoid_conjugate load_complex normalize_based "
                     "parse_based_word parse_complex reach_by_centralizer trace validate"),
     ("oracle", "BoundExceeded loop_class_key oracle_conjugate oracle_equal "
                "oracle_groupoid_conjugate reach_by_preferred_enumeration"),

@@ -52,14 +52,17 @@ def _word(g: DefiningGraph, text: str):
         raise _InputError(f"bad word {text!r}: {e}") from None
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload, human) -> None:
+    """Print ``payload()`` as JSON with ``--json``, else the text
+    ``human()``; only the one printed is built."""
+    out = payload() if args.json else human()
     if not args.no_timing:
-        payload["elapsed_s"] = round(time.perf_counter() - args._t0, 6)
-        human += f"\n# elapsed: {payload['elapsed_s']} s"
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(human)
+        elapsed = round(time.perf_counter() - args._t0, 6)
+        if args.json:
+            out["elapsed_s"] = elapsed
+        else:
+            out += f"\n# elapsed: {elapsed} s"
+    print(json.dumps(out, sort_keys=True) if args.json else out)
 
 
 def _factor_report(g, factors):
@@ -74,26 +77,26 @@ def cmd_normal_form(args):
     w = _word(g, args.word)
     nf = normal_form(g, w)
     text = format_word(g, nf)
-    _emit(args, {"normal_form": text, "length": len(nf)}, text)
+    _emit(args, lambda: {"normal_form": text, "length": len(nf)}, lambda: text)
 
 
 def cmd_cyclic_normal_form(args):
     g = _load_group(args.group)
     w = _word(g, args.word)
     factors = cyclic_normal_factors(g, w)
-    payload = _factor_report(g, factors)
+    payload = _factor_report(g, factors)  # the text prints every factor too
     lines = [f"{len(factors.factors)} factor(s)"]
     for comp, f in zip(payload["components"], payload["factors"]):
         lines.append(f"  [{' '.join(comp)}]: {f}")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, lambda: payload, lambda: "\n".join(lines))
 
 
 def cmd_word_problem(args):
     g = _load_group(args.group)
     w = _word(g, args.word)
     trivial = pi_star(g, w).signed_count == 0
-    _emit(args, {"identity": trivial},
-          "YES (identity)" if trivial else "NO (non-trivial)")
+    _emit(args, lambda: {"identity": trivial},
+          lambda: "YES (identity)" if trivial else "NO (non-trivial)")
 
 
 def cmd_conjugate(args):
@@ -103,9 +106,9 @@ def cmd_conjugate(args):
     fw = cyclic_normal_factors(g, w)
     fv = cyclic_normal_factors(g, v)
     ans = _same_class(fw, fv)
-    payload = {"conjugate": ans, "left": _factor_report(g, fw),
-               "right": _factor_report(g, fv)}
-    _emit(args, payload, "YES" if ans else "NO")
+    _emit(args, lambda: {"conjugate": ans, "left": _factor_report(g, fw),
+                         "right": _factor_report(g, fv)},
+          lambda: "YES" if ans else "NO")
 
 
 def cmd_centralizer(args):
@@ -115,16 +118,24 @@ def cmd_centralizer(args):
     w = _word(g, args.word)
     factors = cyclic_normal_factors(g, w)
     gens = centralizer_generators(g, factors)
-    payload = _factor_report(g, factors)
-    payload["roots"] = [{"z": format_word(g, z), "r": r} for z, r in gens.roots]
-    payload["link_gens"] = [g.name(i) for i in sorted(gens.link_gens)]
-    lines = ["centralizer of the cyclically reduced conjugate "
-             + (format_word(g, factors.concat()) or "<identity>")]
-    for z, r in gens.roots:
-        lines.append(f"  root: {format_word(g, z)}  (power {r})")
-    for name in payload["link_gens"]:
-        lines.append(f"  link generator: {name}")
-    _emit(args, payload, "\n".join(lines))
+    link_gens = [g.name(i) for i in sorted(gens.link_gens)]
+
+    def payload():
+        out = _factor_report(g, factors)
+        out["roots"] = [{"z": format_word(g, z), "r": r} for z, r in gens.roots]
+        out["link_gens"] = link_gens
+        return out
+
+    def human():
+        lines = ["centralizer of the cyclically reduced conjugate "
+                 + (format_word(g, factors.concat()) or "<identity>")]
+        for z, r in gens.roots:
+            lines.append(f"  root: {format_word(g, z)}  (power {r})")
+        for name in link_gens:
+            lines.append(f"  link generator: {name}")
+        return "\n".join(lines)
+
+    _emit(args, payload, human)
 
 
 def cmd_validate_complex(args):
@@ -136,15 +147,14 @@ def cmd_validate_complex(args):
     except (OSError, ComplexSyntaxError) as e:
         raise _InputError(str(e)) from None
     report = validate(cx, g)
-    payload = {
+    _emit(args, lambda: {
         "ok": report.ok,
         "determinism_ok": report.determinism_ok,
         "labels_ok": report.labels_ok,
         "convexity_checked": report.convexity_checked,
         "convexity_ok": report.convexity_ok,
         "problems": report.problems,
-    }
-    _emit(args, payload, report.summary())
+    }, report.summary)
 
 
 def cmd_groupoid_conjugate(args):
@@ -164,7 +174,7 @@ def cmd_groupoid_conjugate(args):
     if bw1.base != bw1.end or bw2.base != bw2.end:
         raise _InputError("both based words must be loops")
     ans = groupoid_conjugate(cx, g, bw1, bw2)
-    _emit(args, {"freely_homotopic": ans}, "YES" if ans else "NO")
+    _emit(args, lambda: {"freely_homotopic": ans}, lambda: "YES" if ans else "NO")
 
 
 def cmd_oracle_equal(args):
@@ -175,7 +185,7 @@ def cmd_oracle_equal(args):
         ans = oracle_equal(g, _word(g, args.word), _word(g, args.other))
     except BoundExceeded as e:
         raise _InputError(str(e)) from None
-    _emit(args, {"equal": ans}, "YES" if ans else "NO")
+    _emit(args, lambda: {"equal": ans}, lambda: "YES" if ans else "NO")
 
 
 def cmd_oracle_conjugate(args):
@@ -186,7 +196,7 @@ def cmd_oracle_conjugate(args):
         ans = oracle_conjugate(g, _word(g, args.word), _word(g, args.other))
     except BoundExceeded as e:
         raise _InputError(str(e)) from None
-    _emit(args, {"conjugate": ans}, "YES" if ans else "NO")
+    _emit(args, lambda: {"conjugate": ans}, lambda: "YES" if ans else "NO")
 
 
 def random_reduced_word(g: DefiningGraph, length: int, rng: random.Random):

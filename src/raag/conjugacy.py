@@ -1,25 +1,27 @@
 """Normal forms, cyclic normal forms, and the conjugacy decision.
 
-The whole pipeline is: word -> piling -> cyclic reduction -> split into
-non-split factors -> pyramidalize each factor -> extract.  Each factor
-then carries a cyclic normal form, unique for its conjugacy class up to
-rotation, so conjugacy reduces to cyclic string equality per factor.
+The whole pipeline is: word -> piling -> cyclic reduction -> pyramidalize
+every component of the support graph at once -> extract -> sort the
+letters into one factor per component.  Each factor then carries a
+cyclic normal form, unique for its conjugacy class up to rotation, so
+conjugacy reduces to cyclic string equality per factor.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .core import DefiningGraph, Word
-from .piling import _drain, cyclic_reduce, pi_star, pyramidalize, split_components
+from .core import DefiningGraph, Letter, Word, support_components
+from .piling import _drain, cyclic_reduce, pi_star, pyramidalize
 
 
 class CyclicNormalFactors(NamedTuple):
     """Mutually commuting cyclic normal forms, one per connected
     component of the support graph, with the letters the cycling moved:
     the bottom letters of the cyclic reductions first, then the cycled
-    letters of each factor in component order.  ``events`` is a
-    conjugator c with pi(c^-1 w c) = pi(concat()) for the input word w,
-    so a loop's base vertex is carried along c."""
+    letters of each factor in component order, each factor's in the
+    order they were cycled.  ``events`` is a conjugator c with
+    pi(c^-1 w c) = pi(concat()) for the input word w, so a loop's base
+    vertex is carried along c."""
 
     factors: tuple[Word, ...]
     components: tuple[tuple[int, ...], ...]
@@ -48,16 +50,35 @@ def is_cyclic_normal(g: DefiningGraph, w: Word) -> bool:
 
 
 def cyclic_normal_factors(g: DefiningGraph, w: Word) -> CyclicNormalFactors:
+    """Pyramidalize and extract all components of the cyclically reduced
+    piling together.  The components commute and never compete for a
+    stack, so each component's letters come out of the joint extraction
+    and the joint cycling in the order they would alone; sorting them by
+    component gives the factors and the events."""
     p, events = cyclic_reduce(pi_star(g, w))
-    factors: list[Word] = []
-    components: list[tuple[int, ...]] = []
-    for part in split_components(p):
-        key = tuple(sorted(part.support()))
-        pyr, evs = pyramidalize(part)
-        events.extend(evs)
-        factors.append(_drain(pyr))
-        components.append(key)
-    return CyclicNormalFactors(tuple(factors), tuple(components), tuple(events))
+    if p.is_empty():
+        return CyclicNormalFactors((), (), tuple(events))
+    components = support_components(g, p.support())
+    pyr, cycled = pyramidalize(p)
+    for part in _by_component(g, components, cycled):
+        events += part
+    factors = tuple(map(tuple, _by_component(g, components, _drain(pyr))))
+    return CyclicNormalFactors(factors, components, tuple(events))
+
+
+def _by_component(g: DefiningGraph, components, w) -> list[Sequence[Letter]]:
+    """The letters of w, one sequence per component, each in w's order;
+    one component takes all of w as it is, with no pass over it."""
+    if len(components) == 1:
+        return [w]
+    parts: list[list[Letter]] = [[] for _ in components]
+    put = [None] * (g.n + 1)  # generator -> append to its component's list
+    for part, comp in zip(parts, components):
+        for i in comp:
+            put[i] = part.append
+    for l in w:
+        put[l[0]](l)
+    return parts
 
 
 def _prefix_function(pattern) -> list[int]:

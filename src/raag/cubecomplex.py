@@ -242,18 +242,6 @@ def based_word(cx: CubeComplexMap, base: str, w: Word) -> BasedWord:
     return BasedWord(base, w, end)
 
 
-def based_cycle(cx: CubeComplexMap, bw: BasedWord) -> BasedWord:
-    """Move the base along the loop's first edge and rotate the word."""
-    if bw.base != bw.end:
-        raise NotALoop(f"based word runs {bw.base} -> {bw.end}")
-    if not bw.word:
-        raise NotALoop("cannot cycle an empty loop word")
-    nb = cx.delta.get((bw.base, bw.word[0]))
-    if nb is None:
-        raise UntraceableWord(f"letter {bw.word[0]} does not trace from {bw.base}")
-    return BasedWord(nb, bw.word[1:] + bw.word[:1], nb)
-
-
 def normalize_based(cx: CubeComplexMap, g: DefiningGraph,
                     bw: BasedWord) -> tuple[str, CyclicNormalFactors]:
     """Cyclic-normal-factor the loop word and carry the base vertex

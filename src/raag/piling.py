@@ -28,8 +28,8 @@ All public operations are pure: they copy their input piling and
 return fresh values.  They are built from a private kernel of three
 in-place operations: the push rule (``_fold``), removal of one bottom
 tile (``_pop_bottom_tile``) and the largest-index extraction loop
-(``_extract``).  ``_drain`` is ``sigma_star`` without the copy, for
-callers that own a fresh piling.
+(``_extract``), which skips a given set of stacks.  ``_drain`` is
+``sigma_star`` without the copy, for callers that own a fresh piling.
 
 A tile can be removed from the bottom exactly when its stack starts
 with a signed bead (in a valid piling its non-commuting neighbours then
@@ -46,15 +46,13 @@ from __future__ import annotations
 import struct
 from collections import deque
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
-from .core import DefiningGraph, Letter, Word, letter_table, support_graph_of_gens
+from .core import DefiningGraph, Letter, Word, letter_table, support_components
 
 PLUS = 1
 MINUS = -1
 ZERO = 0
-
-_BEAD_CHAR = {PLUS: "+", MINUS: "-", ZERO: "0"}
 
 _GUARD = 1 << 31      # the top bit of a field, always set
 _RUN = _GUARD - 1     # the bits of a field below it: a 0 run, at most 2^31-1
@@ -78,10 +76,6 @@ class EmptyPiling(PilingError):
 
 
 class NoBottomTile(PilingError):
-    pass
-
-
-class SplitInput(PilingError):
     pass
 
 
@@ -156,7 +150,7 @@ class Piling:
                 raise PilingTooLarge(f"stack {i} holds 2^31 or more beads")
             run = 0
             for b in stacks[i]:
-                if b not in _BEAD_CHAR:
+                if b not in (PLUS, MINUS, ZERO):
                     raise PilingError(f"bead {b!r} on stack {i} is not +1, -1 or 0")
                 if b == ZERO:
                     run += 1
@@ -228,15 +222,6 @@ def _top_run(p: Piling, i: int) -> int:
     return p._top >> _shift(i) & _RUN
 
 
-def format_piling(p: Piling) -> str:
-    """Debug serialization: one line per stack, beads bottom-to-top."""
-    lines = []
-    for i, s in enumerate(p.stacks[1:], start=1):
-        beads = " ".join(_BEAD_CHAR[b] for b in s)
-        lines.append(f"{p.graph.name(i)}: {beads}".rstrip())
-    return "\n".join(lines)
-
-
 def _lowest_field(bits: int) -> int:
     """Index of the lowest field whose guard bit is set in ``bits``."""
     return (bits & -bits).bit_length() >> 5
@@ -299,9 +284,9 @@ def _pop_bottom_tile(p: Piling, i: int) -> int:
     return p._beads[i].popleft()
 
 
-def _extract(p: Piling, exclude: int = 0) -> list[Letter]:
+def _extract(p: Piling, exclude: Collection[int] = ()) -> list[Letter]:
     """Repeatedly remove the bottom tile of the largest-index stack
-    other than ``exclude`` that starts with a signed bead, in place,
+    not in ``exclude`` that starts with a signed bead, in place,
     until there is none; returns the removed letters in order.  Raises
     ExtractionStuck, with the offending tile not removed, if a neighbour
     of that tile has no 0 bead at the bottom."""
@@ -311,13 +296,13 @@ def _extract(p: Piling, exclude: int = 0) -> list[Letter]:
     letters = letter_table(n)
     tops = _unpack(lay, p._top)
     bottoms = tops[:]
-    # guard bits of the stacks other than ``exclude`` that hold a signed
+    # guard bits of the stacks outside ``exclude`` that hold a signed
     # bead (occupied) and of those that start with one (ready)
     ready = occupied = 0
     for j in range(1, n + 1):
         if beads[j]:
             bottoms[j] = _GUARD | under[j][0]
-            if j != exclude:
+            if j not in exclude:
                 occupied |= _GUARD << tiles[j].shift
                 if not under[j][0]:
                     ready |= _GUARD << tiles[j].shift
@@ -410,22 +395,8 @@ def cyclic_reduce(p: Piling) -> tuple[Piling, list[Letter]]:
     return q, events
 
 
-def _apex(p: Piling) -> int:
-    """Smallest index whose stack contains a signed bead, or 0."""
-    return next((i for i in range(1, p.graph.n + 1) if p._beads[i]), 0)
-
-
 def _starts_signed(p: Piling, i: int) -> bool:
     return bool(p._beads[i]) and not p._under[i][0]
-
-
-def decompose(p: Piling) -> tuple[Piling, Piling]:
-    """Unique splitting p = p0 . p1 with p1 pyramidal (apex = smallest
-    index carrying a signed bead) and p0 free of apex beads."""
-    if p.is_empty():
-        raise EmptyPiling("cannot decompose the empty piling")
-    p1 = p.copy()
-    return pi_star(p.graph, _extract(p1, exclude=_apex(p1))), p1
 
 
 def cycle_bottom(p: Piling, i: int) -> tuple[Piling, Letter]:
@@ -439,32 +410,28 @@ def cycle_bottom(p: Piling, i: int) -> tuple[Piling, Letter]:
     return q, l
 
 
-def is_pyramidal(p: Piling) -> bool:
-    apex = _apex(p)
-    if apex == 0:
-        return False
-    return all(_starts_signed(p, i) == (i == apex) for i in range(1, p.graph.n + 1))
-
-
 def _pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
     """Returns (pyramidal piling, cycled letters, number of passes).
 
-    Each pass moves the whole 0-factor from the bottom to the top in
-    place.  Cycling a tile never cancels in a cyclically reduced piling,
-    so this equals cycling the 0-factor's tiles one at a time."""
+    Each pass moves the 0-factors of all components of the support
+    graph from the bottom to the top in place: one extraction that skips
+    every component's apex (its least index).  Components never compete
+    for a stack: a support stack holds beads of its own component's
+    tiles only, and a stack outside the support holds only 0 beads,
+    which block no tile.  So the pass removes each component's 0-factor
+    in that component's own order, interleaved with the others.
+    Cycling a tile never cancels in a cyclically reduced piling, so this
+    equals cycling the 0-factors' tiles one at a time."""
     if p.is_empty():
         raise EmptyPiling("cannot pyramidalize the empty piling")
     if not is_cyclically_reduced(p):
         raise NotCyclicallyReduced("input piling admits a cyclic reduction")
-    supp = p.support()
-    if len(support_graph_of_gens(p.graph, supp).components) != 1:
-        raise SplitInput("support graph is disconnected")
+    apexes = {c[0] for c in support_components(p.graph, p.support())}
     q = p.copy()
-    apex = min(supp)
     events: list[Letter] = []
     passes = 0
     while True:
-        letters = _extract(q, exclude=apex)
+        letters = _extract(q, apexes)
         if not letters:
             return q, events, passes
         passes += 1
@@ -473,41 +440,11 @@ def _pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
 
 
 def pyramidalize(p: Piling) -> tuple[Piling, list[Letter]]:
-    """Cycle 0-factor tiles bottom-to-top until the piling is pyramidal;
-    also returns the cycled letters in order.  The number of passes is
-    bounded by the eccentricity of the apex in the support graph, hence
-    by the number of generators."""
+    """Cycle 0-factor tiles bottom-to-top until each component of the
+    support graph is pyramidal over its own apex, its least index; also
+    returns the cycled letters in the order cycled, a conjugator from p
+    to the result.  The components are cycled together, so the number
+    of passes is the largest of their bounds: the eccentricity of each
+    apex in its component, at most the number of generators."""
     q, events, _ = _pyramidalize(p)
     return q, events
-
-
-def split_components(p: Piling) -> list[Piling]:
-    """One piling per connected component of the support graph, ordered
-    by minimal generator index; the factors commute pairwise and their
-    product is equivalent to p.
-
-    Every bead on a support stack comes from a letter of the same
-    component, so a factor keeps its component's stacks as they are.
-    A stack outside the support holds only 0 beads, one per signed bead
-    on its non-commuting support stacks; a factor keeps the ones its own
-    component put there, which the packed sum of ``len * low`` over the
-    component counts for every stack at once."""
-    g = p.graph
-    supp = sorted(p.support())
-    if not supp:
-        return []
-    tiles = p._lay.tiles
-    fields = (1 << 32 * g.n) - 1
-    out = []
-    for comp in support_graph_of_gens(g, supp).components:
-        f = Piling(g)
-        keep = zeros = 0
-        for i in comp:
-            f._beads[i] = deque(p._beads[i])
-            f._under[i] = deque(p._under[i])
-            keep |= _RUN << tiles[i].shift
-            zeros += len(p._beads[i]) * tiles[i].low
-        # no other component's stack is a neighbour, so its field gets 0
-        f._top = p._top & keep | (f._top + zeros) & (fields ^ keep)
-        out.append(f)
-    return out

@@ -38,7 +38,7 @@ from raag import (
     validate,
 )
 from raag.cli import random_reduced_word
-from raag.piling import _apex, _pyramidalize, cyclic_reduce, split_components
+from raag.piling import _pyramidalize, cyclic_reduce
 from .conftest import random_equivalent_rewrite, random_word
 
 EXAMPLE_WORD = "a2^-2 a4^-1 a3 a2 a4 a1 a2 a1^-1 a2^2 a4^-1"
@@ -68,12 +68,10 @@ def test_acceptance_01_golden_normal_form():
 
 def test_acceptance_02_split_regression():
     g = example()
-    p, _ = cyclic_reduce(pi_star(g, parse_word(g, "a1^-1 a2 a3 a1 a4^-1")))
-    pieces = split_components(p)
-    supports = [pc.support() for pc in pieces]
-    assert supports == [{2}, {3, 4}]
-    assert pieces[0] == pi_star(g, parse_word(g, "a2"))
-    assert pieces[1] == pi_star(g, parse_word(g, "a3 a4^-1"))
+    factors = cyclic_normal_factors(g, parse_word(g, "a1^-1 a2 a3 a1 a4^-1"))
+    assert factors.components == ((2,), (3, 4))
+    assert [pi_star(g, f) for f in factors.factors] == [
+        pi_star(g, parse_word(g, "a2")), pi_star(g, parse_word(g, "a3 a4^-1"))]
     report(2, "cyclic reduction + split gives components {a2} and {a3,a4}")
 
 
@@ -273,7 +271,7 @@ def test_acceptance_08_pyramidalize_iteration_bound():
         if len(sg.components) != 1:
             continue
         q, _, passes = _pyramidalize(p)
-        assert passes <= eccentricity(sg, _apex(p))
+        assert passes <= eccentricity(sg, min(p.support()))
         done += 1
     dt = time.perf_counter() - t0
     assert dt < budget

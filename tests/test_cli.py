@@ -110,6 +110,23 @@ def test_conjugate_factors_each_word_once(group_file, capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def test_text_output_builds_no_json_report(group_file, capsys, monkeypatch):
+    """Without --json, conjugate and centralizer print their text and
+    format no factor report for a payload that is never printed."""
+    import raag.cli
+
+    def unwanted(g, factors):
+        raise AssertionError("JSON report built for text output")
+
+    monkeypatch.setattr(raag.cli, "_factor_report", unwanted)
+    code, out, _ = run(capsys, "conjugate", "-g", group_file, "--no-timing",
+                       "-w", "a1 a2", "-v", "a2 a1")
+    assert (code, out) == (0, "YES\n")
+    code, out, _ = run(capsys, "centralizer", "-g", group_file, "--no-timing",
+                       "-w", "a1 a2 a1 a2")
+    assert code == 0 and "root: a1 a2  (power 2)" in out
+
+
 def test_cyclic_normal_form(group_file, capsys):
     code, out, _ = run(capsys, "cyclic-normal-form", "-g", group_file,
                        "--json", "--no-timing", "-w", "a1 a4 a1")

