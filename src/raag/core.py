@@ -32,12 +32,24 @@ class Letter(NamedTuple):
 Word = tuple
 
 
+@lru_cache(maxsize=None)
+def letter_row(i: int) -> tuple[None, Letter, Letter]:
+    """The interned letters of generator i: ``(None, Letter(i, 1),
+    Letter(i, -1))``, so that ``letter_row(i)[sign]`` is ``Letter(i,
+    sign)`` (a sign of -1 indexes the last entry).  One object per i for
+    the life of the process."""
+    return (None, Letter(i, 1), Letter(i, -1))
+
+
 @lru_cache
 def letter_table(n: int) -> tuple[tuple[Letter | None, ...], ...]:
-    """Interned letters of an n-generator group: ``letter_table(n)[i][sign]``
-    is ``Letter(i, sign)`` (a sign of -1 indexes the last entry).  Row 0
-    is unused, like generator index 0."""
-    return tuple((None, Letter(i, 1), Letter(i, -1)) for i in range(n + 1))
+    """Interned letters of an n-generator group: ``letter_table(n)[i]`` is
+    ``letter_row(i)``, so ``letter_table(n)[i][sign]`` is ``Letter(i,
+    sign)`` and is the same object for every n >= i.  Words that the
+    parser and the piling kernel emit, and the keys of a complex's walk
+    table, all come from these rows, so dict lookups match by identity.
+    Row 0 is unused, like generator index 0."""
+    return tuple(map(letter_row, range(n + 1)))
 
 
 @lru_cache
@@ -101,19 +113,20 @@ def build_graph(names: Iterable[str], commuting_pairs: Iterable[tuple[str, str]]
         raise PresentationError("at least one generator required")
     idx = {nm: i + 1 for i, nm in enumerate(names)}
     n = len(names)
-    commuting: set[frozenset[int]] = set()
+    # commuting[i]: the generators that commute with a_i, and a_i itself
+    commuting = [{i} for i in range(n + 1)]
     for a, b in commuting_pairs:
         if a not in idx or b not in idx:
             bad = a if a not in idx else b
             raise PresentationError(f"unknown name {bad!r} in commuting pair")
         if a == b:
             raise PresentationError(f"self-pair ({a}, {b}) is not allowed")
-        commuting.add(frozenset((idx[a], idx[b])))
+        i, j = idx[a], idx[b]
+        commuting[i].add(j)
+        commuting[j].add(i)
+    everyone = frozenset(range(1, n + 1))
     nbrs = [frozenset()]  # dummy slot 0
-    for i in range(1, n + 1):
-        nbrs.append(frozenset(
-            j for j in range(1, n + 1)
-            if j != i and frozenset((i, j)) not in commuting))
+    nbrs += (everyone - commuting[i] for i in range(1, n + 1))
     return DefiningGraph(names, tuple(nbrs))
 
 

@@ -5,17 +5,23 @@ Vertices and labeled oriented edges describe the 1-skeleton together
 with its labeling; optional square records let us check the local
 convexity hypothesis.  Paths are coded as based words: a start vertex
 plus a word whose letters are followed through the edge lookup table.
-Walks run on integer vertex ids, one letter -> next id map per vertex;
-names appear only at the ends of ``trace`` and ``reach_by_centralizer``.
+A complex keeps one table: every vertex name gets an integer id, and
+each id has a letter -> next id map built straight from the edges and
+keyed by the interned letters of ``core.letter_row``.  Walks run on it;
+names appear only at the ends of ``trace`` and ``reach_by_centralizer``,
+and the name-keyed ``delta`` view is derived from it on first use.
 The decider answers YES as soon as the aligned base of the first loop
 is the second loop's base, without building the centralizer.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
-from typing import Iterable, NamedTuple
+from collections import Counter
+from functools import cached_property
+from itertools import combinations
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
-from .core import DefiningGraph, Letter, Word, inverse_word, letter_table, parse_word
+from .core import DefiningGraph, Letter, Word, inverse_word, letter_row, parse_word
 from .conjugacy import CyclicNormalFactors, cyclic_equal, cyclic_normal_factors
 from .centralizer import CentralizerGens, centralizer_generators
 
@@ -45,37 +51,53 @@ class Edge(NamedTuple):
 
 
 class CubeComplexMap:
-    """Immutable after construction; the (vertex, letter) -> vertex
-    lookup table ``delta`` is precomputed once and shared read-only.
+    """Immutable after construction.
 
-    ``delta`` keeps the first edge for each (vertex, letter) key.  For
-    the walks, every name that a vertex record or an edge mentions gets
-    an integer id, and ``_out[k]`` maps a letter to the id that ``delta``
-    leads to from the vertex with id k: the same table on ids, O(edges)
-    entries like ``delta``."""
+    Every name that a vertex record or an edge mentions gets an integer
+    id, and ``_out[k]`` maps a letter to the id of the vertex that it
+    leads to from the vertex with id k.  This is the complex's one walk
+    table, built straight from the edges in O(edges): the first edge
+    wins for each (vertex, letter) key and keys that a later edge
+    repeats go to ``_multi_keys``.  Its keys are the interned letters of
+    ``core.letter_row``, the same objects that the parser and the piling
+    kernel emit, so a walk matches them by identity; a complex needs no
+    group to build them.  ``delta``, the same table keyed by
+    ``(vertex name, letter)``, is derived on first use and cached."""
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge],
                  squares: Iterable[tuple[str, str, str, str]] | None = None):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
         self.squares = tuple(tuple(sq) for sq in squares) if squares is not None else None
-        self.delta: dict[tuple[str, Letter], str] = {}
-        self._multi_keys: set[tuple[str, Letter]] = set()
-        for e in self.edges:
-            for key, dest in (((e.src, Letter(e.label, 1)), e.dst),
-                              ((e.dst, Letter(e.label, -1)), e.src)):
-                if key in self.delta:
-                    self._multi_keys.add(key)
-                else:
-                    self.delta[key] = dest
         names = dict.fromkeys(self.vertices)
         for e in self.edges:
             names[e.src] = names[e.dst] = None
         self._names = tuple(names)
-        self._ids = {x: k for k, x in enumerate(self._names)}
+        self._ids = ids = {x: k for k, x in enumerate(self._names)}
         self._out: list[dict[Letter, int]] = [{} for _ in self._names]
-        for (x, l), y in self.delta.items():
-            self._out[self._ids[x]][l] = self._ids[y]
+        self._multi_keys: set[tuple[str, Letter]] = set()
+        out, multi = self._out, self._multi_keys
+        for e in self.edges:
+            _, up, down = letter_row(e.label)
+            ks, kd = ids[e.src], ids[e.dst]
+            row = out[ks]
+            if up in row:
+                multi.add((e.src, up))
+            else:
+                row[up] = kd
+            row = out[kd]
+            if down in row:
+                multi.add((e.dst, down))
+            else:
+                row[down] = ks
+
+    @cached_property
+    def delta(self) -> Mapping[tuple[str, Letter], str]:
+        """Read-only (vertex, letter) -> vertex table: ``_out`` on names."""
+        names = self._names
+        return MappingProxyType({(names[k], l): names[y]
+                                 for k, row in enumerate(self._out)
+                                 for l, y in row.items()})
 
 
 class BasedWord(NamedTuple):
@@ -111,51 +133,84 @@ class ValidationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _square_corners(by_id: dict[str, Edge], g: DefiningGraph, square, problems):
-    """Corners contributed by one square record: for each orientation
-    assignment that closes the boundary with opposite sides equal and
-    commuting labels, each corner yields (vertex, {letter, letter})."""
-    try:
-        e1, e2, e3, e4 = (by_id[eid] for eid in square)
-    except KeyError as exc:
-        problems.append(f"square {square}: unknown edge id {exc.args[0]!r}")
-        return set(), False
-    corners = set()
-    closed = False
+def _corner(k: int, d1: Letter, d2: Letter, m: int, v: int) -> int:
+    """A corner, the pair of directions {d1, d2} of distinct generators
+    at the vertex with id k, as one int: the letter codes 2*gen + (sign
+    < 0) of the smaller and the larger generator in base m, then the id
+    in base v (m exceeds every letter code, v every id)."""
+    if d1.gen > d2.gen:
+        d1, d2 = d2, d1
+    return ((2 * d1.gen + (d1.sign < 0)) * m + 2 * d2.gen + (d2.sign < 0)) * v + k
 
-    def endpoints(e: Edge, s: int):
-        return (e.src, e.dst) if s == 1 else (e.dst, e.src)
 
-    # labels and their commutation do not depend on the orientation
-    labels_fit = (e1.label == e3.label and e2.label == e4.label
-                  and g.commutes(e1.label, e2.label))
-    orientations = product((1, -1), repeat=2) if labels_fit else ()
-    rows = letter_table(g.n)  # labels are range-checked before squares
-    for s1, s2 in orientations:
-        s3, s4 = -s1, -s2
-        a1, b1 = endpoints(e1, s1)
-        a2, b2 = endpoints(e2, s2)
-        a3, b3 = endpoints(e3, s3)
-        a4, b4 = endpoints(e4, s4)
-        if not (b1 == a2 and b2 == a3 and b3 == a4 and b4 == a1):
+def _square_corners(cx: CubeComplexMap, g: DefiningGraph,
+                    problems: list[str]) -> tuple[set[int], bool]:
+    """The corners that the square records provide, coded as by
+    ``_corner``, and whether every record closes.  A record (e1, e2, e3,
+    e4) closes under signs (s1, s2) when e1^s1 e2^s2 e3^-s1 e4^-s2 is a
+    closed path, opposite sides carry equal labels and the two labels
+    commute; each of the path's four vertices then gets the corner of
+    the two letters that leave it along the square's sides."""
+    ids = cx._ids
+    by_id = {e.eid: k for k, e in enumerate(cx.edges)}
+    src = [ids[e.src] for e in cx.edges]
+    dst = [ids[e.dst] for e in cx.edges]
+    label = [e.label for e in cx.edges]
+    noncommute = g.noncommute  # labels are range-checked before squares
+    m, v = 2 * g.n + 2, len(cx._names)
+    corners: set[int] = set()
+    add = corners.add
+    all_closed = True
+    for square in cx.squares:
+        try:
+            k1, k2, k3, k4 = map(by_id.__getitem__, square)
+        except KeyError as exc:
+            problems.append(f"square {square}: unknown edge id {exc.args[0]!r}")
+            all_closed = False
             continue
-        closed = True
-        r1, r2 = rows[e1.label], rows[e2.label]
-        corners.add((a1, frozenset({r1[s1], r2[s2]})))
-        corners.add((a2, frozenset({r1[-s1], r2[s2]})))
-        corners.add((a3, frozenset({r1[-s1], r2[-s2]})))
-        corners.add((a4, frozenset({r1[s1], r2[-s2]})))
-    if not closed:
-        problems.append(
-            f"square {square}: no orientation closes the boundary with "
-            "matching opposite labels and commuting sides")
-    return corners, closed
+        i, j = label[k1], label[k2]
+        closed = False
+        # labels and their commutation do not depend on the orientation
+        if label[k3] == i and label[k4] == j and i != j and j not in noncommute[i]:
+            p1, q1, p2, q2 = src[k1], dst[k1], src[k2], dst[k2]
+            p3, q3, p4, q4 = src[k3], dst[k3], src[k4], dst[k4]
+            # the letters of e1 and of e2, weighted as in _corner
+            x, y = (m * v, v) if i < j else (v, m * v)
+            up1, down1, up2, down2 = 2 * i * x, (2 * i + 1) * x, 2 * j * y, (2 * j + 1) * y
+            # per sign of a side: its start and end, the opposite side's
+            # start and end, and the letters along it forwards and back
+            for a1, b1, a3, b3, xs, xo in ((p1, q1, q3, p3, up1, down1),
+                                           (q1, p1, p3, q3, down1, up1)):
+                for a2, b2, a4, b4, ys, yo in ((p2, q2, q4, p4, up2, down2),
+                                               (q2, p2, p4, q4, down2, up2)):
+                    if b1 == a2 and b2 == a3 and b3 == a4 and b4 == a1:
+                        closed = True
+                        add(a1 + xs + ys)
+                        add(a2 + xo + ys)
+                        add(a3 + xo + yo)
+                        add(a4 + xs + yo)
+        if not closed:
+            all_closed = False
+            problems.append(
+                f"square {square}: no orientation closes the boundary with "
+                "matching opposite labels and commuting sides")
+    return corners, all_closed
 
 
 def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     """Checks local determinism, label ranges, and (when squares are
     given) the convexity hypothesis at every vertex.  Global injectivity
-    of universal covers is assumed, never verified."""
+    of universal covers is assumed, never verified.
+
+    Convexity asks that every pair of directions at a vertex with
+    distinct commuting generators be a corner of some closing square.
+    Each corner a closing square provides is such a pair: its two
+    letters run along sides that start or end at the vertex, so both
+    are keys of the walk table there, and their labels commute.  So a
+    vertex is convex exactly when it has as many distinct corners as
+    commuting direction pairs.  The corners are counted per vertex, the
+    pairs once per distinct tuple of directions, and only at a vertex
+    that falls short are its pairs walked, to name the missing ones."""
     problems: list[str] = []
 
     vertex_set = set(cx.vertices)
@@ -173,8 +228,9 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
             f"realizes generator {l.gen} with sign {l.sign:+d}")
 
     labels_ok = True
+    n = g.n
     for e in cx.edges:
-        if not 1 <= e.label <= g.n:
+        if not 1 <= e.label <= n:
             labels_ok = False
             problems.append(f"edge {e.eid}: label {e.label} out of range 1..{g.n}")
 
@@ -182,23 +238,28 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     convexity_ok: bool | None = None
     convexity_checked = cx.squares is not None
     if convexity_checked and labels_ok and vertices_ok:
-        provided = set()
-        by_id = {e.eid: e for e in cx.edges}
-        for sq in cx.squares:
-            corners, closed = _square_corners(by_id, g, sq, problems)
-            squares_ok = squares_ok and closed
-            provided |= corners
+        provided, squares_ok = _square_corners(cx, g, problems)
         convexity_ok = True
-        directions: dict[str, list[Letter]] = {x: [] for x in cx.vertices}
-        for (v, l) in cx.delta:
-            directions[v].append(l)
+        m, n_ids = 2 * g.n + 2, len(cx._names)
+        have = Counter(map(n_ids.__rmod__, provided))
+        need: dict[tuple[Letter, ...], int] = {}
         # labels are range-checked by now, so commutation is a set lookup
         noncommute = g.noncommute
+        ids, out = cx._ids, cx._out
         for x in cx.vertices:
-            for d1, d2 in combinations(directions[x], 2):
+            k = ids[x]
+            directions = tuple(out[k])
+            pairs = need.get(directions)
+            if pairs is None:
+                pairs = need[directions] = sum(
+                    d1.gen != d2.gen and d2.gen not in noncommute[d1.gen]
+                    for d1, d2 in combinations(directions, 2))
+            if have[k] == pairs:
+                continue
+            for d1, d2 in combinations(directions, 2):
                 if d1.gen == d2.gen or d2.gen in noncommute[d1.gen]:
                     continue
-                if (x, frozenset({d1, d2})) not in provided:
+                if _corner(k, d1, d2, m, n_ids) not in provided:
                     convexity_ok = False
                     problems.append(
                         f"convexity violation at vertex {x}: commuting "

@@ -421,7 +421,9 @@ def _pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
     which block no tile.  So the pass removes each component's 0-factor
     in that component's own order, interleaved with the others.
     Cycling a tile never cancels in a cyclically reduced piling, so this
-    equals cycling the 0-factors' tiles one at a time."""
+    equals cycling the 0-factors' tiles one at a time.  The passes
+    number at most the largest apex eccentricity, which is below n;
+    a pass beyond n raises PilingError instead of looping on."""
     if p.is_empty():
         raise EmptyPiling("cannot pyramidalize the empty piling")
     if not is_cyclically_reduced(p):
@@ -435,6 +437,8 @@ def _pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
         if not letters:
             return q, events, passes
         passes += 1
+        if passes > q.graph.n:
+            raise PilingError(f"pyramidalize did not settle within {q.graph.n} passes")
         _fold(q, letters)
         events += letters
 

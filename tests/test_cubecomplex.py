@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 
@@ -27,7 +29,8 @@ from raag import (
     reach_by_preferred_enumeration,
     validate,
 )
-from raag.cubecomplex import trace
+from raag.core import letter_row, letter_table
+from raag.cubecomplex import ValidationReport, trace
 from .conftest import random_word
 
 FREE2 = build_graph(("a1", "a2"), [])
@@ -262,9 +265,11 @@ def delta_reach(cx, x_start, gens):
 def random_partial_complex(rng):
     """A random partial complex: some edges run to undeclared vertices,
     some (vertex, letter) keys carry two edges, and generators above
-    ``n_used`` label no edge at all."""
+    ``n_used`` label no edge at all.  Then some generator pairs commute,
+    and the square records are None or a list from ``random_squares``;
+    now and then an edge carries a label outside 1..n or a vertex is
+    declared twice."""
     n = rng.randrange(1, 5)
-    g = build_graph([f"a{i}" for i in range(1, n + 1)], [])
     declared = [f"v{i}" for i in range(rng.randrange(1, 7))]
     ends = declared + [f"u{i}" for i in range(rng.randrange(0, 3))]
     n_used = rng.randrange(1, n + 1)
@@ -273,7 +278,223 @@ def random_partial_complex(rng):
     if edges:
         e = rng.choice(edges)
         edges.append(Edge("dup", e.src, rng.choice(ends), e.label))
-    return g, CubeComplexMap(declared, edges), ends + ["nowhere"]
+    names = [f"a{i}" for i in range(1, n + 1)]
+    g = build_graph(names, [(a, b) for a, b in combinations(names, 2) if rng.random() < 0.6])
+    squares = None if rng.random() < 0.2 else random_squares(g, declared, edges, rng)
+    if rng.random() < 0.05:
+        edges.append(Edge("bad", rng.choice(ends), rng.choice(ends), rng.choice((0, n + 1))))
+    if rng.random() < 0.05:
+        declared.append(rng.choice(declared))
+    return g, CubeComplexMap(declared, edges, squares), ends + ["nowhere"]
+
+
+def random_squares(g, vertices, edges, rng):
+    """Square records of every kind, appending the edges they need:
+    closing squares on fresh edges between random vertices (loop edges
+    where the vertices coincide), rotated or reversed; the same shapes
+    with a wrong label on one side, with a last side that may miss the
+    first vertex, or over non-commuting or equal labels; records over
+    random edges (rarely closing); unknown edge ids; and repeats of
+    earlier records."""
+    pairs = [(i, j) for i, j in combinations(range(1, g.n + 1), 2) if g.commutes(i, j)]
+    squares = []
+    for t in range(rng.randrange(0, 9)):
+        kind = rng.random()
+        if kind < 0.6:
+            if kind < 0.45 and pairs:
+                i, j = rng.choice(pairs)
+            else:
+                i, j = rng.randrange(1, g.n + 1), rng.randrange(1, g.n + 1)
+            k = rng.randrange(1, g.n + 1) if rng.random() < 0.1 else i
+            s1, s2 = rng.choice((1, -1)), rng.choice((1, -1))
+            a, b, c, d = (rng.choice(vertices) for _ in range(4))
+            z = rng.choice(vertices) if rng.random() < 0.15 else a  # may leave it open
+            sides = []
+            for x, y, label, sign in ((a, b, i, s1), (b, c, j, s2), (c, d, k, -s1), (d, z, j, -s2)):
+                eid = f"s{t}_{len(sides)}"
+                edges.append(Edge(eid, x, y, label) if sign == 1 else Edge(eid, y, x, label))
+                sides.append(eid)
+            r = rng.randrange(4)
+            sides = sides[r:] + sides[:r]
+            squares.append(tuple(sides[::-1] if rng.random() < 0.5 else sides))
+        elif kind < 0.8 and edges:
+            squares.append(tuple(rng.choice(edges).eid for _ in range(4)))
+        elif kind < 0.9 and edges:
+            sq = [rng.choice(edges).eid for _ in range(4)]
+            sq[rng.randrange(4)] = "nope"
+            squares.append(tuple(sq))
+        elif squares:
+            squares.append(rng.choice(squares))
+    return squares
+
+
+def eager_delta(cx):
+    """The (vertex, letter) -> vertex table built the way ``delta`` was
+    built before the walk table: first edge wins, fresh letters as keys;
+    also the keys that more than one edge realizes."""
+    delta, multi = {}, set()
+    for e in cx.edges:
+        for key, dest in (((e.src, Letter(e.label, 1)), e.dst),
+                          ((e.dst, Letter(e.label, -1)), e.src)):
+            if key in delta:
+                multi.add(key)
+            else:
+                delta[key] = dest
+    return delta, multi
+
+
+def reference_square_corners(by_id, g, square, problems):
+    """Per-record corners as (vertex, frozenset of two letters), trying
+    all four orientations of the record's first two sides."""
+    try:
+        e1, e2, e3, e4 = (by_id[eid] for eid in square)
+    except KeyError as exc:
+        problems.append(f"square {square}: unknown edge id {exc.args[0]!r}")
+        return set(), False
+    corners = set()
+    closed = False
+
+    def endpoints(e, s):
+        return (e.src, e.dst) if s == 1 else (e.dst, e.src)
+
+    labels_fit = (e1.label == e3.label and e2.label == e4.label
+                  and g.commutes(e1.label, e2.label))
+    rows = letter_table(g.n)
+    for s1, s2 in product((1, -1), repeat=2) if labels_fit else ():
+        a1, b1 = endpoints(e1, s1)
+        a2, b2 = endpoints(e2, s2)
+        a3, b3 = endpoints(e3, -s1)
+        a4, b4 = endpoints(e4, -s2)
+        if not (b1 == a2 and b2 == a3 and b3 == a4 and b4 == a1):
+            continue
+        closed = True
+        r1, r2 = rows[e1.label], rows[e2.label]
+        corners.add((a1, frozenset({r1[s1], r2[s2]})))
+        corners.add((a2, frozenset({r1[-s1], r2[s2]})))
+        corners.add((a3, frozenset({r1[-s1], r2[-s2]})))
+        corners.add((a4, frozenset({r1[s1], r2[-s2]})))
+    if not closed:
+        problems.append(
+            f"square {square}: no orientation closes the boundary with "
+            "matching opposite labels and commuting sides")
+    return corners, closed
+
+
+def reference_validate(cx, g):
+    """``validate`` by pairs: collect every square corner, then look up
+    each commuting pair of directions at each vertex."""
+    problems = []
+    delta, multi = eager_delta(cx)
+    vertex_set = set(cx.vertices)
+    vertices_ok = True
+    for e in cx.edges:
+        for v in (e.src, e.dst):
+            if v not in vertex_set:
+                vertices_ok = False
+                problems.append(f"edge {e.eid}: unknown vertex {v!r}")
+    for (v, l) in sorted(multi):
+        problems.append(
+            f"determinism violation at vertex {v}: more than one edge "
+            f"realizes generator {l.gen} with sign {l.sign:+d}")
+    labels_ok = True
+    for e in cx.edges:
+        if not 1 <= e.label <= g.n:
+            labels_ok = False
+            problems.append(f"edge {e.eid}: label {e.label} out of range 1..{g.n}")
+    squares_ok = True
+    convexity_ok = None
+    convexity_checked = cx.squares is not None
+    if convexity_checked and labels_ok and vertices_ok:
+        provided = set()
+        by_id = {e.eid: e for e in cx.edges}
+        for sq in cx.squares:
+            corners, closed = reference_square_corners(by_id, g, sq, problems)
+            squares_ok = squares_ok and closed
+            provided |= corners
+        convexity_ok = True
+        directions = {x: [] for x in cx.vertices}
+        for (v, l) in delta:
+            directions[v].append(l)
+        for x in cx.vertices:
+            for d1, d2 in combinations(directions[x], 2):
+                if not g.commutes(d1.gen, d2.gen):
+                    continue
+                if (x, frozenset({d1, d2})) not in provided:
+                    convexity_ok = False
+                    problems.append(
+                        f"convexity violation at vertex {x}: commuting "
+                        f"directions {d1} and {d2} have no square corner")
+    elif convexity_checked:
+        squares_ok = False
+    return ValidationReport(not multi, labels_ok, vertices_ok, squares_ok,
+                            convexity_checked, convexity_ok, problems)
+
+
+def test_validate_matches_reference_by_pairs():
+    """Counted convexity gives the per-pair reports, problems in the
+    same order, on random complexes broken in every way; and ``delta``
+    is the eager table, with interned letters as keys."""
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(2000):
+        g, cx, _starts = random_partial_complex(rng)
+        report, ref = validate(cx, g), reference_validate(cx, g)
+        assert report._asdict() == ref._asdict()
+        assert report.summary() == ref.summary()
+        seen.add((report.convexity_ok, report.squares_ok))
+        delta, multi = eager_delta(cx)
+        assert cx.delta == delta
+        assert cx._multi_keys == multi
+        for x in cx.vertices:
+            assert [l for (v, l) in cx.delta if v == x] == [l for (v, l) in delta if v == x]
+        assert all(l is letter_row(l.gen)[l.sign] for (_v, l) in cx.delta)
+    # every outcome of the convexity and square checks occurs
+    assert seen >= {(None, True), (None, False), (True, True), (True, False),
+                    (False, True), (False, False)}
+
+
+def abelian_cover(g, m1, m2, phi):
+    """The Z_m1 x Z_m2 cover of g's one-vertex complex in which a_i
+    moves v by phi[i - 1], with every square lifted."""
+    size = m1 * m2
+
+    def add(v, d):
+        x, y = divmod(v, m2)
+        return (x + d[0]) % m1 * m2 + (y + d[1]) % m2
+
+    edges = [Edge(f"e{i}_{v}", f"v{v}", f"v{add(v, phi[i - 1])}", i)
+             for v in range(size) for i in range(1, g.n + 1)]
+    squares = [(f"e{i}_{v}", f"e{j}_{add(v, phi[i - 1])}", f"e{i}_{add(v, phi[j - 1])}", f"e{j}_{v}")
+               for v in range(size) for i, j in combinations(range(1, g.n + 1), 2)
+               if g.commutes(i, j)]
+    return CubeComplexMap([f"v{v}" for v in range(size)], edges, squares)
+
+
+def test_validate_memory_per_square(example_graph):
+    """Corners are ints, not (vertex, frozenset) pairs: on the 1,024-vertex
+    cover with 3,072 squares, validate's tracemalloc peak stays under
+    640 bytes a square (about 330 here; the per-pair check peaked at
+    about 1,300)."""
+    g = example_graph
+    cx = abelian_cover(g, 32, 32, [(1, 0), (0, 1), (5, 3), (2, 7)])
+    tracemalloc.start()
+    try:
+        report = validate(cx, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.convexity_checked
+    assert peak < 640 * len(cx.squares), peak / len(cx.squares)
+
+
+def test_walk_table_keys_are_interned(example_graph):
+    g = example_graph
+    assert letter_table(4)[1][1] is letter_table(64)[1][1]
+    cx = abelian_cover(g, 3, 4, [(1, 0), (0, 1), (2, 1), (1, 3)])
+    assert len(cx.delta) == 2 * len(cx.edges)
+    assert all(l is letter_table(g.n)[l.gen][l.sign] for (_v, l) in cx.delta)
+    with pytest.raises(TypeError):
+        cx.delta[("v0", letter_table(g.n)[1][1])] = "v0"
 
 
 def test_trace_and_reach_match_delta_walk():

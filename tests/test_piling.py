@@ -289,6 +289,23 @@ def test_pyramidalize_example(example_graph):
     assert passes <= 2
 
 
+def test_pyramidalize_bounds_its_passes(example_graph, monkeypatch):
+    """An extraction that never comes back empty ends in PilingError
+    after n passes, not in an endless loop."""
+    g = example_graph
+    p, _ = cyclic_reduce(pi_star(g, parse_word(g, EXAMPLE_WORD)))
+    calls = []
+
+    def never_empty(q, exclude=()):
+        calls.append(1)
+        return [Letter(1, 1)]
+
+    monkeypatch.setattr("raag.piling._extract", never_empty)
+    with pytest.raises(PilingError, match="passes"):
+        pyramidalize(p)
+    assert len(calls) == g.n + 1
+
+
 def test_pyramidalize_rejects_bad_input(example_graph):
     g = example_graph
     with pytest.raises(NotCyclicallyReduced):
