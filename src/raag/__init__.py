@@ -10,14 +10,12 @@ __version__ = "0.1.0"
 # exported name -> home module; the keys double as __all__
 _HOME = {name: home for home, names in (
     ("core", "DefiningGraph Letter PresentationError WordSyntaxError build_graph "
-             "format_word inverse_word load_presentation parse_presentation "
-             "parse_word support_graph support_of"),
-    ("piling", "EmptyPiling ExtractionStuck NoBottomTile NotCyclicallyReduced Piling "
-               "PilingError PilingTooLarge cycle_bottom cyclic_reduce "
-               "is_cyclically_reduced pi_star pyramidalize sigma_star"),
+             "format_word inverse_word load_presentation parse_presentation parse_word"),
+    ("piling", "EmptyPiling ExtractionStuck NotCyclicallyReduced Piling PilingError "
+               "PilingTooLarge cyclic_reduce is_cyclically_reduced pi_star "
+               "pyramidalize sigma_star"),
     ("conjugacy", "CyclicNormalFactors conjugate_in_raag cyclic_equal "
-                  "cyclic_normal_factors is_cyclic_normal is_normal "
-                  "kmp_first_occurrence normal_form"),
+                  "cyclic_normal_factors kmp_first_occurrence normal_form"),
     ("centralizer", "CentralizerGens centralizer_generators minimal_root"),
     ("cubecomplex", "BasedWord ComplexSyntaxError CubeComplexMap Edge NotALoop "
                     "ReplayFailure UntraceableWord ValidationReport based_word "

@@ -9,7 +9,7 @@ Each process loads only what its subcommand needs: ``word-problem``,
 ``centralizer`` also loads ``raag.centralizer``; ``validate-complex``
 and ``groupoid-conjugate`` load ``raag.cubecomplex`` (and through it
 ``raag.centralizer``); the ``oracle-*`` subcommands load ``raag.oracle``
-(and through it both); ``bench`` loads ``random`` and ``statistics``.
+(and through it both).
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import time
 from . import __version__
 from .core import (
     DefiningGraph,
-    Letter,
     PresentationError,
     WordSyntaxError,
     format_word,
@@ -29,7 +28,7 @@ from .core import (
     parse_word,
 )
 from .piling import pi_star
-from .conjugacy import _same_class, conjugate_in_raag, cyclic_normal_factors, normal_form
+from .conjugacy import _same_class, cyclic_normal_factors, normal_form
 
 
 class _InputError(Exception):
@@ -39,9 +38,7 @@ class _InputError(Exception):
 def _load_group(path: str) -> DefiningGraph:
     try:
         return load_presentation(path)
-    except OSError as e:
-        raise _InputError(str(e)) from None
-    except PresentationError as e:
+    except (OSError, PresentationError) as e:
         raise _InputError(str(e)) from None
 
 
@@ -199,53 +196,6 @@ def cmd_oracle_conjugate(args):
     _emit(args, lambda: {"conjugate": ans}, lambda: "YES" if ans else "NO")
 
 
-def random_reduced_word(g: DefiningGraph, length: int, rng: random.Random):
-    """Random reduced word by rejection: retry any letter that would
-    cancel against the piling built so far."""
-    p = pi_star(g, ())
-    letters = []
-    while len(letters) < length:
-        gen = rng.randrange(1, g.n + 1)
-        sign = rng.choice((1, -1))
-        if p.top_bead(gen) == -sign:
-            continue
-        l = Letter(gen, sign)
-        p.push(l)
-        letters.append(l)
-    return tuple(letters)
-
-
-def cmd_bench(args):
-    import random
-    import statistics
-
-    g = _load_group(args.group)
-    rng = random.Random(args.seed)
-    sizes = args.sizes or [10_000 * 2 ** k for k in range(5)]
-    rows = []
-    for n in sizes:
-        samples = []
-        for _ in range(args.repeats):
-            w = random_reduced_word(g, n // 2, rng)
-            v = random_reduced_word(g, n - n // 2, rng)
-            t0 = time.perf_counter()
-            conjugate_in_raag(g, w, v)
-            samples.append(time.perf_counter() - t0)
-        t = statistics.median(samples)
-        rows.append({"n": n} if args.no_timing else
-                    {"n": n, "seconds": round(t, 6), "seconds_per_letter": round(t / n, 12)})
-    if args.json:
-        print(json.dumps(rows))
-    elif args.no_timing:
-        print(f"{'n':>10}")
-        for r in rows:
-            print(f"{r['n']:>10}")
-    else:
-        print(f"{'n':>10} {'seconds':>12} {'s/letter':>14}")
-        for r in rows:
-            print(f"{r['n']:>10} {r['seconds']:>12.6f} {r['seconds_per_letter']:>14.3e}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="raag",
@@ -289,11 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-x", "--complex", required=True, help="complex file")
     p.add_argument("--loop1", required=True, help="based word '<vertex>: <word>'")
     p.add_argument("--loop2", required=True, help="based word '<vertex>: <word>'")
-
-    p = add("bench", cmd_bench, help="timing table for the conjugacy decider")
-    p.add_argument("--sizes", type=int, nargs="+")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("oracle-equal", cmd_oracle_equal, help="brute-force equality (small inputs)")
     p.add_argument("-w", "--word", required=True)

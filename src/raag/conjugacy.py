@@ -35,20 +35,6 @@ def normal_form(g: DefiningGraph, w: Word) -> Word:
     return _drain(pi_star(g, w))
 
 
-def is_normal(g: DefiningGraph, w: Word) -> bool:
-    return w == normal_form(g, w)
-
-
-def is_cyclic_normal(g: DefiningGraph, w: Word) -> bool:
-    """A cyclically reduced word all of whose rotations are normal.
-    Every rotation is a factor of the doubled word and factors of
-    normal words are normal, so one normality check of ww suffices:
-    w itself is a prefix of ww, and if a stack of pi(w) starts with
-    one sign and ends with the other, then ww puts a letter next to its
-    inverse up to commutation, so ww is not reduced, let alone normal."""
-    return not w or is_normal(g, w + w)
-
-
 def cyclic_normal_factors(g: DefiningGraph, w: Word) -> CyclicNormalFactors:
     """Pyramidalize and extract all components of the cyclically reduced
     piling together.  The components commute and never compete for a

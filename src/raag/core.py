@@ -1,4 +1,4 @@
-"""Group presentations, letters, words, and support graphs.
+"""Group presentations, letters, words, and support-graph components.
 
 A right-angled Artin group is given by its generators and the list of
 commuting pairs.  Internally we store the *non*-commutation adjacency,
@@ -7,6 +7,7 @@ generator touches exactly the stacks of its non-commuting neighbours.
 """
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import chain, groupby
 from typing import Iterable, NamedTuple
@@ -130,33 +131,6 @@ def build_graph(names: Iterable[str], commuting_pairs: Iterable[tuple[str, str]]
     return DefiningGraph(names, tuple(nbrs))
 
 
-class SupportGraph(NamedTuple):
-    """The full non-commutation subgraph spanned by the generators
-    occurring in a word or piling, with its connected components in
-    canonical order (each component sorted, components by minimum)."""
-
-    vertices: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    components: tuple[tuple[int, ...], ...]
-
-
-def support_of(w: Word) -> frozenset[int]:
-    return frozenset(l.gen for l in w)
-
-
-def support_graph(g: DefiningGraph, w: Word) -> SupportGraph:
-    return support_graph_of_gens(g, support_of(w))
-
-
-def support_graph_of_gens(g: DefiningGraph, gens: Iterable[int]) -> SupportGraph:
-    verts = frozenset(gens)
-    for i in verts:
-        g.check_gen(i)
-    edges = frozenset(
-        (i, j) for i in verts for j in g.noncommute[i] if j in verts and i < j)
-    return SupportGraph(verts, edges, support_components(g, verts))
-
-
 def support_components(g: DefiningGraph, gens: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """The connected components of the non-commutation graph on gens in
     canonical order, without the edge set: one set intersection per
@@ -180,22 +154,25 @@ def support_components(g: DefiningGraph, gens: Iterable[int]) -> tuple[tuple[int
 
 def parse_word(g: DefiningGraph, text: str) -> Word:
     """Parse whitespace-separated tokens ``name`` or ``name^k`` (k a
-    nonzero integer, expanded to |k| letters).  Each distinct token is
-    parsed once per call, into a run of interned ``letter_table`` letters,
-    in order of first occurrence, so the first bad token raises."""
+    nonzero integer in ASCII ``[+-]?[0-9]+``, expanded to |k| letters).
+    Each distinct token is parsed once per call, into a run of interned
+    ``letter_table`` letters, in order of first occurrence, so the first
+    bad token raises."""
     tokens = text.split()
     rows = letter_table(g.n)
     runs = {tok: _token_run(g, rows, tok) for tok in dict.fromkeys(tokens)}
     return tuple(chain.from_iterable(map(runs.__getitem__, tokens)))
 
 
+_EXPONENT = re.compile(r"[+-]?[0-9]+")  # int() also takes "1_000" and non-ASCII digits
+
+
 def _token_run(g: DefiningGraph, rows, tok: str) -> Word:
     name, sep, exp = tok.partition("^")
     if sep:
-        try:
-            k = int(exp)
-        except ValueError:
-            raise WordSyntaxError(f"malformed exponent in token {tok!r}") from None
+        if not _EXPONENT.fullmatch(exp):
+            raise WordSyntaxError(f"malformed exponent in token {tok!r}")
+        k = int(exp)
         if k == 0:
             raise WordSyntaxError(f"zero exponent in token {tok!r}")
     else:
@@ -253,4 +230,8 @@ def parse_presentation(text: str, source: str = "<string>") -> DefiningGraph:
 
 def load_presentation(path: str) -> DefiningGraph:
     with open(path, encoding="utf-8") as fh:
-        return parse_presentation(fh.read(), source=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise PresentationError(f"{path}: {e}") from None
+    return parse_presentation(text, source=path)

@@ -425,7 +425,11 @@ def parse_complex(text: str, g: DefiningGraph, source: str = "<string>") -> Cube
 
 def load_complex(path: str, g: DefiningGraph) -> CubeComplexMap:
     with open(path, encoding="utf-8") as fh:
-        return parse_complex(fh.read(), g, source=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ComplexSyntaxError(f"{path}: {e}") from None
+    return parse_complex(text, g, source=path)
 
 
 def parse_based_word(cx: CubeComplexMap, g: DefiningGraph, text: str) -> BasedWord:

@@ -75,10 +75,6 @@ class EmptyPiling(PilingError):
     pass
 
 
-class NoBottomTile(PilingError):
-    pass
-
-
 class NotCyclicallyReduced(PilingError):
     pass
 
@@ -182,13 +178,6 @@ class Piling:
             out.append(tuple(s))
         return out
 
-    def top_bead(self, i: int) -> int | None:
-        """The top bead of stack i, or None if the stack is empty."""
-        if _top_run(self, i):
-            return ZERO
-        s = self._beads[i]
-        return s[-1] if s else None
-
     def copy(self) -> "Piling":
         q = Piling.__new__(Piling)
         q.graph, q._lay, q._top = self.graph, self._lay, self._top
@@ -198,12 +187,6 @@ class Piling:
 
     def is_empty(self) -> bool:
         return self._top == self._lay.empty and not any(self._beads)
-
-    def push(self, letter: Letter) -> None:
-        """Append one tile, cancelling against an opposite signed bead
-        on top of the letter's own stack if present (in which case the
-        trailing 0 beads of the non-commuting stacks go too)."""
-        _fold(self, (letter,))
 
     def support(self) -> frozenset[int]:
         return frozenset(i for i, s in enumerate(self._beads) if s)
@@ -393,21 +376,6 @@ def cyclic_reduce(p: Piling) -> tuple[Piling, list[Letter]]:
                 events.append(l)
                 changed = True
     return q, events
-
-
-def _starts_signed(p: Piling, i: int) -> bool:
-    return bool(p._beads[i]) and not p._under[i][0]
-
-
-def cycle_bottom(p: Piling, i: int) -> tuple[Piling, Letter]:
-    """Move the bottom a_i-tile to the top of its stacks; also returns
-    its letter."""
-    if not _starts_signed(p, i):
-        raise NoBottomTile(f"stack {i} does not start with a signed bead")
-    q = p.copy()
-    l = letter_table(q.graph.n)[i][_pop_bottom_tile(q, i)]
-    _fold(q, (l,))
-    return q, l
 
 
 def _pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from raag import DefiningGraph, Letter, build_graph
-from raag.cli import random_reduced_word  # noqa: F401  (re-exported for the tests)
+from raag import DefiningGraph, Letter, build_graph, normal_form, pi_star
+from raag.piling import _fold, _top_run
 
 
 @pytest.fixture
@@ -40,6 +40,37 @@ def random_graph(rng: random.Random, n: int) -> DefiningGraph:
 def random_word(g: DefiningGraph, length: int, rng: random.Random):
     return tuple(Letter(rng.randrange(1, g.n + 1), rng.choice((1, -1)))
                  for _ in range(length))
+
+
+def random_reduced_word(g: DefiningGraph, length: int, rng: random.Random):
+    """Random reduced word by rejection: retry any letter that would
+    cancel against the top of its stack in the piling built so far."""
+    p = pi_star(g, ())
+    letters = []
+    while len(letters) < length:
+        gen = rng.randrange(1, g.n + 1)
+        sign = rng.choice((1, -1))
+        s = p._beads[gen]
+        if not _top_run(p, gen) and s and s[-1] == -sign:
+            continue
+        l = Letter(gen, sign)
+        _fold(p, (l,))
+        letters.append(l)
+    return tuple(letters)
+
+
+def is_normal(g: DefiningGraph, w) -> bool:
+    return w == normal_form(g, w)
+
+
+def is_cyclic_normal(g: DefiningGraph, w) -> bool:
+    """A cyclically reduced word all of whose rotations are normal.
+    Every rotation is a factor of the doubled word and factors of
+    normal words are normal, so one normality check of ww suffices:
+    w itself is a prefix of ww, and if a stack of pi(w) starts with
+    one sign and ends with the other, then ww puts a letter next to its
+    inverse up to commutation, so ww is not reduced, let alone normal."""
+    return not w or is_normal(g, w + w)
 
 
 def random_equivalent_rewrite(g: DefiningGraph, w, rng: random.Random):

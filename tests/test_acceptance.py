@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import raag.piling
 from raag import (
     CyclicNormalFactors,
     Letter,
@@ -22,7 +23,6 @@ from raag import (
     cyclic_normal_factors,
     groupoid_conjugate,
     inverse_word,
-    is_cyclic_normal,
     loop_class_key,
     minimal_root,
     normal_form,
@@ -34,12 +34,11 @@ from raag import (
     pi_star,
     reach_by_centralizer,
     sigma_star,
-    support_graph,
     validate,
 )
-from raag.cli import random_reduced_word
+from raag.core import support_components
 from raag.piling import _pyramidalize, cyclic_reduce
-from .conftest import random_equivalent_rewrite, random_word
+from .conftest import is_cyclic_normal, random_equivalent_rewrite, random_reduced_word, random_word
 
 EXAMPLE_WORD = "a2^-2 a4^-1 a3 a2 a4 a1 a2 a1^-1 a2^2 a4^-1"
 
@@ -238,17 +237,14 @@ def test_acceptance_07_normal_form_uniqueness():
     report(7, f"one normal form across 500 words x 20 rewrites ({dt:.1f} s)")
 
 
-def eccentricity(sg, v):
+def eccentricity(g, comp, v):
+    """Of v in the non-commutation graph on the generators comp."""
     dist = {v: 0}
     frontier = [v]
-    adj = {}
-    for a, b in [tuple(sorted(e)) for e in sg.edges]:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
     while frontier:
         nxt = []
         for x in frontier:
-            for y in adj.get(x, ()):
+            for y in g.noncommute[x].intersection(comp):
                 if y not in dist:
                     dist[y] = dist[x] + 1
                     nxt.append(y)
@@ -267,11 +263,11 @@ def test_acceptance_08_pyramidalize_iteration_bound():
         p, _ = cyclic_reduce(pi_star(g, w))
         if p.is_empty():
             continue
-        sg = support_graph(g, sigma_star(p))
-        if len(sg.components) != 1:
+        components = support_components(g, {l.gen for l in sigma_star(p)})
+        if len(components) != 1:
             continue
         q, _, passes = _pyramidalize(p)
-        assert passes <= eccentricity(sg, min(p.support()))
+        assert passes <= eccentricity(g, components[0], min(p.support()))
         done += 1
     dt = time.perf_counter() - t0
     assert dt < budget
@@ -326,6 +322,56 @@ def test_acceptance_10_linearity():
     report(10, "doubling ratios "
                + ", ".join(f"{r:.2f}" for r in ratios[-3:])
                + " all in [1.5, 2.7]")
+
+
+def test_acceptance_10_kernel_traffic_is_linear(monkeypatch):
+    """The clock-free side of the check above: the letters that pass
+    through the piling kernel (folded, extracted, popped from the bottom)
+    in one conjugacy decision double with the input, on random reduced
+    words and on the path-graph family that cycles nearly every tile."""
+    traffic = [0]
+
+    def count(name, letters):
+        real = getattr(raag.piling, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            traffic[0] += letters(args, out)
+            return out
+
+        monkeypatch.setattr(raag.piling, name, wrapper)
+
+    count("_fold", lambda args, out: len(args[1]))
+    count("_extract", lambda args, out: len(out))
+    count("_pop_bottom_tile", lambda args, out: 1)
+
+    g = example()
+    rng = random.Random(808)
+    path = build_graph([f"a{i}" for i in range(1, 7)],
+                       [(f"a{i}", f"a{j}") for i in range(1, 7) for j in range(i + 2, 7)])
+
+    def random_words(n):
+        return g, random_reduced_word(g, n, rng)
+
+    def path_words(n):  # (a6 a5 a4 a3 a2)^m a1
+        return path, parse_word(path, "a6 a5 a4 a3 a2 " * (n // 5) + "a1")
+
+    bound = 6  # letters of kernel traffic per input letter
+    lines = []
+    for family, words in (("random", random_words), ("path", path_words)):
+        counts = []
+        for n in (2000, 4000):
+            h, w = words(n)
+            t = len(w) // 3
+            traffic[0] = 0
+            assert conjugate_in_raag(h, w, w[t:] + w[:t])
+            assert traffic[0] < bound * 2 * len(w), (family, n, traffic[0])
+            counts.append(traffic[0])
+        ratio = counts[1] / counts[0]
+        assert 1.8 <= ratio <= 2.2, (family, counts)
+        lines.append(f"{family} {ratio:.3f}")
+    report(10, "kernel letters per decision double with the input: "
+               + ", ".join(lines) + f"; under {bound} per input letter")
 
 
 def test_acceptance_11_minimal_root():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from raag.cli import main
+from raag.cli import build_parser, main
 
 GROUP = """\
 gens a1 a2 a3 a4
@@ -172,29 +173,6 @@ def test_oracle_subcommands(group_file, capsys):
     assert code == 0 and out.strip() == "YES"
 
 
-def test_bench_small(group_file, capsys):
-    code, out, _ = run(capsys, "bench", "-g", group_file, "--json",
-                       "--sizes", "100", "200", "--repeats", "1")
-    assert code == 0
-    rows = json.loads(out)
-    assert [r["n"] for r in rows] == [100, 200]
-    assert all(r["seconds"] >= 0 for r in rows)
-
-
-def test_bench_no_timing_is_reproducible(group_file, capsys):
-    outs = []
-    for _ in range(2):
-        code, out, _ = run(capsys, "bench", "-g", group_file, "--sizes", "50", "100",
-                           "--repeats", "1", "--no-timing")
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert outs[0].split() == ["n", "50", "100"]
-    code, out, _ = run(capsys, "bench", "-g", group_file, "--json", "--sizes", "50",
-                       "--repeats", "1", "--no-timing")
-    assert code == 0 and json.loads(out) == [{"n": 50}]
-
-
 def test_bad_word_exits_2(group_file, capsys):
     code, _, err = run(capsys, "normal-form", "-g", group_file,
                        "--no-timing", "-w", "a9")
@@ -215,6 +193,36 @@ def test_bad_presentation_exits_2(capsys, tmp_path):
                        "--no-timing", "-w", "a1")
     assert code == 2
     assert "a7" in err
+
+
+def test_non_utf8_group_file_exits_2(capsys, tmp_path):
+    p = tmp_path / "bad.group"
+    p.write_bytes(b"gens a1 a2\xff\n")
+    code, _, err = run(capsys, "word-problem", "-g", str(p), "--no-timing", "-w", "a1")
+    assert code == 2
+    assert "bad.group" in err and "utf-8" in err
+
+
+def test_non_utf8_complex_file_exits_2(free_group_file, capsys, tmp_path):
+    p = tmp_path / "bad.complex"
+    p.write_bytes(b"vertices x1\xff\n")
+    for argv in (["validate-complex"],
+                 ["groupoid-conjugate", "--loop1", "x1: a1", "--loop2", "x1: a1"]):
+        code, _, err = run(capsys, *argv, "-g", free_group_file, "-x", str(p),
+                           "--no-timing")
+        assert code == 2
+        assert "bad.complex" in err and "utf-8" in err
+
+
+def test_readme_runs_every_subcommand():
+    """CI runs each ``raag`` line of the README's CLI section, so each
+    subcommand must have one."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## CLI\n"):text.index("\n## File formats\n")]
+    named = {line.split()[1] for line in section.splitlines() if line.startswith("raag ")}
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert named == set(sub.choices)
+    assert len(named) == 9
 
 
 def test_non_loop_exits_2(free_group_file, complex_file, capsys):

@@ -12,15 +12,14 @@ from raag import (
     cyclic_normal_factors,
     cyclic_reduce,
     inverse_word,
-    is_cyclic_normal,
     is_cyclically_reduced,
-    is_normal,
     kmp_first_occurrence,
     normal_form,
     parse_word,
     pi_star,
 )
-from .conftest import random_equivalent_rewrite, random_graph, random_word
+from .conftest import (is_cyclic_normal, is_normal, random_equivalent_rewrite, random_graph,
+                       random_word)
 
 EXAMPLE_WORD = "a2^-2 a4^-1 a3 a2 a4 a1 a2 a1^-1 a2^2 a4^-1"
 

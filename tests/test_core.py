@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from raag.core import letter_table
+from raag.core import letter_table, support_components
 from raag import (
     Letter,
     PresentationError,
@@ -12,8 +12,7 @@ from raag import (
     inverse_word,
     parse_presentation,
     parse_word,
-    support_graph,
-    support_of,
+    pi_star,
 )
 
 
@@ -68,6 +67,9 @@ def test_parse_word_errors(example_graph):
             ("a1^", "malformed exponent in token 'a1^'"),
             ("a1^x", "malformed exponent in token 'a1^x'"),
             ("a1^-", "malformed exponent in token 'a1^-'"),
+            # int() would read these as 1000 and 3
+            ("a1^1_000", "malformed exponent in token 'a1^1_000'"),
+            ("a1^\uff13", "malformed exponent in token 'a1^\uff13'"),
             ("a1^0", "zero exponent in token 'a1^0'"),
             ("a1 a1^-2 a1^0", "zero exponent in token 'a1^0'"),
             ("a1 a2 a1 a2 a5 a1^x", "unknown generator name 'a5'"),
@@ -154,18 +156,17 @@ def test_inverse_word(example_graph):
 
 def test_support(example_graph):
     g = example_graph
-    w = parse_word(g, "a1 a3 a1^-1")
-    assert support_of(w) == {1, 3}
+    assert pi_star(g, parse_word(g, "a1 a3 a1^-1")).support() == {1, 3}
+    # a1 and a4 commute, so the a1 beads cancel through the a4 tile
+    assert pi_star(g, parse_word(g, "a1 a4 a1^-1")).support() == {4}
 
 
 def test_support_graph_components(example_graph):
     g = example_graph
     # a1-a3 non-commuting: connected
-    sg = support_graph(g, parse_word(g, "a1 a3"))
-    assert sg.components == ((1, 3),)
+    assert support_components(g, {1, 3}) == ((1, 3),)
     # a1 and a4 commute, so they fall in separate pieces
-    sg = support_graph(g, parse_word(g, "a1 a4"))
-    assert sg.components == ((1,), (4,))
+    assert support_components(g, {4, 1}) == ((1,), (4,))
 
 
 def test_parse_presentation():

@@ -4,16 +4,15 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raag.piling import ZERO, Piling, _extract, _pyramidalize, _starts_signed
+from raag.core import support_components
+from raag.piling import ZERO, Piling, _extract, _fold, _pop_bottom_tile, _pyramidalize
 from raag import (
     ExtractionStuck,
-    NoBottomTile,
     Letter,
     NotCyclicallyReduced,
     PilingError,
     PilingTooLarge,
     build_graph,
-    cycle_bottom,
     cyclic_normal_factors,
     cyclic_reduce,
     inverse_word,
@@ -22,7 +21,6 @@ from raag import (
     pi_star,
     pyramidalize,
     sigma_star,
-    support_graph,
 )
 from .conftest import random_equivalent_rewrite, random_graph, random_reduced_word, random_word
 
@@ -34,10 +32,27 @@ def apex(p):
     return min(p.support(), default=0)
 
 
+def starts_signed(p, i):
+    return bool(p._beads[i]) and not p._under[i][0]
+
+
 def is_pyramidal(p):
     """Only the apex stack starts with a signed bead."""
     a = apex(p)
-    return a != 0 and all(_starts_signed(p, i) == (i == a) for i in range(1, p.graph.n + 1))
+    return a != 0 and all(starts_signed(p, i) == (i == a) for i in range(1, p.graph.n + 1))
+
+
+def support_components_of(g, w):
+    return support_components(g, {l.gen for l in w})
+
+
+def cycle_bottom(p, i):
+    """Move the bottom a_i-tile of a copy of p to the top of its stacks;
+    also returns its letter."""
+    q = p.copy()
+    l = Letter(i, _pop_bottom_tile(q, i))
+    _fold(q, (l,))
+    return q, l
 
 
 def decompose(p):
@@ -61,7 +76,7 @@ def stacks_as_lists(p):
 def test_push_single_letter(example_graph):
     g = example_graph
     p = pi_star(g, ())
-    p.push(Letter(2, -1))
+    _fold(p, (Letter(2, -1),))
     # a2 does not commute with a1 only, so the tile is a minus bead on
     # stack 2 and a zero bead on stack 1
     assert stacks_as_lists(p) == [[0], [-1], [], []]
@@ -131,8 +146,7 @@ def test_from_stacks_round_trip_and_errors(example_graph):
     p = pi_star(g, parse_word(g, EXAMPLE_WORD))
     q = Piling.from_stacks(g, p.stacks)
     assert q == p and q.signed_count == p.signed_count
-    assert [q.top_bead(i) for i in range(1, 5)] == [0, 1, 0, 0]
-    assert pi_star(g, ()).top_bead(1) is None
+    assert [s[-1] for s in q.stacks[1:]] == [0, 1, 0, 0]
     with pytest.raises(PilingError, match="empty slot 0"):
         Piling.from_stacks(g, p.stacks[1:])
     with pytest.raises(PilingError, match="not \\+1, -1 or 0"):
@@ -150,7 +164,7 @@ def test_cancel_needs_zero_beads_on_top():
     p = hand_built(g, [1], [0, 0], [0, -1])
     before = p.stacks
     with pytest.raises(PilingError, match="stack 3 does not end with a 0 bead"):
-        p.push(Letter(1, -1))
+        _fold(p, (Letter(1, -1),))
     assert p.stacks == before and p.signed_count == 2
 
 
@@ -162,7 +176,7 @@ def test_push_past_the_run_limit_raises():
     p._top += (2 ** 31 - 2) << 32
     before = (p._top, p.signed_count)
     with pytest.raises(PilingTooLarge):
-        p.push(Letter(1, 1))
+        _fold(p, (Letter(1, 1),))
     assert (p._top, p.signed_count) == before
 
 
@@ -197,7 +211,7 @@ def test_pi_star_is_a_homomorphism_on_concatenation(data):
     lhs = pi_star(g, u + v)
     rhs = pi_star(g, u)
     for letter in v:
-        rhs.push(letter)
+        _fold(rhs, (letter,))
     assert lhs == rhs
 
 
@@ -247,7 +261,7 @@ def test_cycle_bottom(example_graph):
     q, l = cycle_bottom(p, 1)
     assert l == Letter(1, 1)
     assert q == pi_star(g, parse_word(g, "a2 a3 a1"))
-    with pytest.raises(NoBottomTile):
+    with pytest.raises(ExtractionStuck):
         cycle_bottom(pi_star(g, ()), 1)
 
 
@@ -314,7 +328,7 @@ def test_pyramidalize_rejects_bad_input(example_graph):
     p = pi_star(g, parse_word(g, "a1 a4"))
     q, events = pyramidalize(p)
     assert q == p and events == []
-    assert [i for i in range(1, 5) if _starts_signed(q, i)] == [1, 4]
+    assert [i for i in range(1, 5) if starts_signed(q, i)] == [1, 4]
 
 
 def test_pyramidalize_random_bound(example_graph):
@@ -326,8 +340,7 @@ def test_pyramidalize_random_bound(example_graph):
         p, _ = cyclic_reduce(pi_star(g, w))
         if p.is_empty():
             continue
-        sg = support_graph(g, sigma_star(p))
-        if len(sg.components) != 1:
+        if len(support_components_of(g, sigma_star(p))) != 1:
             continue
         q, _, passes = _pyramidalize(p)
         assert is_pyramidal(q)
@@ -362,7 +375,7 @@ def test_pyramidalize_counts_are_linear(example_graph):
     counts = set()
     for m in (500, 1000, 2000):
         p, reductions = cyclic_reduce(pi_star(g, parse_word(g, "a3 a4 " * m + "a1")))
-        assert len(support_graph(g, sigma_star(p)).components) == 1
+        assert len(support_components_of(g, sigma_star(p))) == 1
         _, events, passes = _pyramidalize(p)
         counts.add((len(reductions), passes, len(events) - 2 * m))
         # the letters are interned: one object per letter, not per tile
@@ -396,7 +409,7 @@ def split_by_refolding(p):
     if p.is_empty():
         return []
     w = sigma_star(p)
-    comps = support_graph(p.graph, w).components
+    comps = support_components_of(p.graph, w)
     return [pi_star(p.graph, tuple(l for l in w if l.gen in comp)) for comp in comps]
 
 
@@ -493,7 +506,7 @@ def test_kernel_matches_references_on_random_graphs():
         refs = [pyramidalize_tile_by_tile(part) for part in split_by_refolding(p)]
         assert q == pi_star(g, tuple(l for r in refs for l in sigma_star(r[0])))
         assert passes == max(r[2] for r in refs)
-        comp = {i: k for k, c in enumerate(support_graph(g, sigma_star(p)).components)
+        comp = {i: k for k, c in enumerate(support_components_of(g, sigma_star(p)))
                 for i in c}
         assert sorted(events, key=lambda l: comp[l.gen]) == [l for r in refs for l in r[1]]
         # the joint cycling order is itself a conjugator from p to q
