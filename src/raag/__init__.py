@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 # exported name -> home module; the keys double as __all__
 _HOME = {name: home for home, names in (
-    ("core", "DefiningGraph Letter PresentationError WordSyntaxError build_graph "
+    ("core", "DefiningGraph InputError Letter PresentationError WordSyntaxError build_graph "
              "format_word inverse_word load_presentation parse_presentation parse_word"),
     ("piling", "EmptyPiling ExtractionStuck NotCyclicallyReduced Piling PilingError "
                "PilingTooLarge cyclic_reduce is_cyclically_reduced pi_star "

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 for completed decisions (YES and NO alike), 2 for parse
-or validation errors in the inputs, 1 for internal failures.
+Exit codes: 0 for completed decisions (YES and NO alike), 2 for an
+``InputError``, which the library raises for every error that the
+inputs cause (``main`` alone catches it), 1 with a traceback for any
+other exception, an internal failure.
 
 Each process loads only what its subcommand needs: ``word-problem``,
 ``normal-form``, ``cyclic-normal-form`` and ``conjugate`` run on
@@ -19,34 +21,9 @@ import sys
 import time
 
 from . import __version__
-from .core import (
-    DefiningGraph,
-    PresentationError,
-    WordSyntaxError,
-    format_word,
-    load_presentation,
-    parse_word,
-)
+from .core import InputError, format_word, load_presentation, parse_word
 from .piling import pi_star
-from .conjugacy import _same_class, cyclic_normal_factors, normal_form
-
-
-class _InputError(Exception):
-    pass
-
-
-def _load_group(path: str) -> DefiningGraph:
-    try:
-        return load_presentation(path)
-    except (OSError, PresentationError) as e:
-        raise _InputError(str(e)) from None
-
-
-def _word(g: DefiningGraph, text: str):
-    try:
-        return parse_word(g, text)
-    except WordSyntaxError as e:
-        raise _InputError(f"bad word {text!r}: {e}") from None
+from .conjugacy import _factor_rotations, cyclic_normal_factors, normal_form
 
 
 def _emit(args, payload, human) -> None:
@@ -70,17 +47,15 @@ def _factor_report(g, factors):
 
 
 def cmd_normal_form(args):
-    g = _load_group(args.group)
-    w = _word(g, args.word)
-    nf = normal_form(g, w)
+    g = load_presentation(args.group)
+    nf = normal_form(g, parse_word(g, args.word))
     text = format_word(g, nf)
     _emit(args, lambda: {"normal_form": text, "length": len(nf)}, lambda: text)
 
 
 def cmd_cyclic_normal_form(args):
-    g = _load_group(args.group)
-    w = _word(g, args.word)
-    factors = cyclic_normal_factors(g, w)
+    g = load_presentation(args.group)
+    factors = cyclic_normal_factors(g, parse_word(g, args.word))
     payload = _factor_report(g, factors)  # the text prints every factor too
     lines = [f"{len(factors.factors)} factor(s)"]
     for comp, f in zip(payload["components"], payload["factors"]):
@@ -89,20 +64,17 @@ def cmd_cyclic_normal_form(args):
 
 
 def cmd_word_problem(args):
-    g = _load_group(args.group)
-    w = _word(g, args.word)
-    trivial = pi_star(g, w).signed_count == 0
+    g = load_presentation(args.group)
+    trivial = pi_star(g, parse_word(g, args.word)).signed_count == 0
     _emit(args, lambda: {"identity": trivial},
           lambda: "YES (identity)" if trivial else "NO (non-trivial)")
 
 
 def cmd_conjugate(args):
-    g = _load_group(args.group)
-    w = _word(g, args.word)
-    v = _word(g, args.other)
-    fw = cyclic_normal_factors(g, w)
-    fv = cyclic_normal_factors(g, v)
-    ans = _same_class(fw, fv)
+    g = load_presentation(args.group)
+    fw = cyclic_normal_factors(g, parse_word(g, args.word))
+    fv = cyclic_normal_factors(g, parse_word(g, args.other))
+    ans = _factor_rotations(fw, fv) is not None
     _emit(args, lambda: {"conjugate": ans, "left": _factor_report(g, fw),
                          "right": _factor_report(g, fv)},
           lambda: "YES" if ans else "NO")
@@ -111,9 +83,8 @@ def cmd_conjugate(args):
 def cmd_centralizer(args):
     from .centralizer import centralizer_generators
 
-    g = _load_group(args.group)
-    w = _word(g, args.word)
-    factors = cyclic_normal_factors(g, w)
+    g = load_presentation(args.group)
+    factors = cyclic_normal_factors(g, parse_word(g, args.word))
     gens = centralizer_generators(g, factors)
     link_gens = [g.name(i) for i in sorted(gens.link_gens)]
 
@@ -136,64 +107,36 @@ def cmd_centralizer(args):
 
 
 def cmd_validate_complex(args):
-    from .cubecomplex import ComplexSyntaxError, load_complex, validate
+    from .cubecomplex import load_complex, validate
 
-    g = _load_group(args.group)
-    try:
-        cx = load_complex(args.complex, g)
-    except (OSError, ComplexSyntaxError) as e:
-        raise _InputError(str(e)) from None
-    report = validate(cx, g)
-    _emit(args, lambda: {
-        "ok": report.ok,
-        "determinism_ok": report.determinism_ok,
-        "labels_ok": report.labels_ok,
-        "convexity_checked": report.convexity_checked,
-        "convexity_ok": report.convexity_ok,
-        "problems": report.problems,
-    }, report.summary)
+    g = load_presentation(args.group)
+    report = validate(load_complex(args.complex, g), g)
+    keys = ("ok", "determinism_ok", "labels_ok", "convexity_checked", "convexity_ok", "problems")
+    _emit(args, lambda: {k: getattr(report, k) for k in keys}, report.summary)
 
 
 def cmd_groupoid_conjugate(args):
-    from .cubecomplex import (ComplexSyntaxError, UntraceableWord, groupoid_conjugate,
-                              load_complex, parse_based_word, validate)
+    from .cubecomplex import groupoid_conjugate, load_complex, parse_based_word, validate
 
-    g = _load_group(args.group)
-    try:
-        cx = load_complex(args.complex, g)
-        report = validate(cx, g)
-        if not report.ok:
-            raise _InputError("complex failed validation:\n" + report.summary())
-        bw1 = parse_based_word(cx, g, args.loop1)
-        bw2 = parse_based_word(cx, g, args.loop2)
-    except (OSError, ComplexSyntaxError, UntraceableWord, WordSyntaxError) as e:
-        raise _InputError(str(e)) from None
-    if bw1.base != bw1.end or bw2.base != bw2.end:
-        raise _InputError("both based words must be loops")
-    ans = groupoid_conjugate(cx, g, bw1, bw2)
+    g = load_presentation(args.group)
+    cx = load_complex(args.complex, g)
+    report = validate(cx, g)
+    if not report.ok:
+        raise InputError("complex failed validation:\n" + report.summary())
+    ans = groupoid_conjugate(cx, g, parse_based_word(cx, g, args.loop1),
+                             parse_based_word(cx, g, args.loop2))
     _emit(args, lambda: {"freely_homotopic": ans}, lambda: "YES" if ans else "NO")
 
 
-def cmd_oracle_equal(args):
-    from .oracle import BoundExceeded, oracle_equal
+def cmd_oracle(args):
+    """``oracle-equal`` and ``oracle-conjugate``: the brute-force decider
+    ``oracle_<key>``, whose answer goes under ``key`` in the JSON."""
+    from . import oracle
 
-    g = _load_group(args.group)
-    try:
-        ans = oracle_equal(g, _word(g, args.word), _word(g, args.other))
-    except BoundExceeded as e:
-        raise _InputError(str(e)) from None
-    _emit(args, lambda: {"equal": ans}, lambda: "YES" if ans else "NO")
-
-
-def cmd_oracle_conjugate(args):
-    from .oracle import BoundExceeded, oracle_conjugate
-
-    g = _load_group(args.group)
-    try:
-        ans = oracle_conjugate(g, _word(g, args.word), _word(g, args.other))
-    except BoundExceeded as e:
-        raise _InputError(str(e)) from None
-    _emit(args, lambda: {"conjugate": ans}, lambda: "YES" if ans else "NO")
+    g = load_presentation(args.group)
+    decide = getattr(oracle, f"oracle_{args.key}")
+    ans = decide(g, parse_word(g, args.word), parse_word(g, args.other))
+    _emit(args, lambda: {args.key: ans}, lambda: "YES" if ans else "NO")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,51 +147,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
+    def add(name, fn, help, words=0, **defaults):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn, **defaults)
         p.add_argument("-g", "--group", required=True, help="presentation file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--no-timing", action="store_true",
                        help="omit timings for byte-identical reports")
+        if words:
+            p.add_argument("-w", "--word", required=True)
+        if words == 2:
+            p.add_argument("-v", "--other", required=True)
         return p
 
-    p = add("normal-form", cmd_normal_form, help="print the normal form of a word")
-    p.add_argument("-w", "--word", required=True)
-
-    p = add("cyclic-normal-form", cmd_cyclic_normal_form,
-            help="print the cyclic normal forms of the non-split factors")
-    p.add_argument("-w", "--word", required=True)
-
-    p = add("word-problem", cmd_word_problem, help="decide if a word is the identity")
-    p.add_argument("-w", "--word", required=True)
-
-    p = add("conjugate", cmd_conjugate, help="decide conjugacy of two words")
-    p.add_argument("-w", "--word", required=True)
-    p.add_argument("-v", "--other", required=True)
-
-    p = add("centralizer", cmd_centralizer,
-            help="canonical centralizer generators of the cyclically reduced conjugate")
-    p.add_argument("-w", "--word", required=True)
-
-    p = add("validate-complex", cmd_validate_complex, help="check a complex file")
+    add("normal-form", cmd_normal_form, "print the normal form of a word", 1)
+    add("cyclic-normal-form", cmd_cyclic_normal_form,
+        "print the cyclic normal forms of the non-split factors", 1)
+    add("word-problem", cmd_word_problem, "decide if a word is the identity", 1)
+    add("conjugate", cmd_conjugate, "decide conjugacy of two words", 2)
+    add("centralizer", cmd_centralizer,
+        "canonical centralizer generators of the cyclically reduced conjugate", 1)
+    p = add("validate-complex", cmd_validate_complex, "check a complex file")
     p.add_argument("-x", "--complex", required=True, help="complex file")
-
     p = add("groupoid-conjugate", cmd_groupoid_conjugate,
-            help="decide free homotopy of two based loops")
+            "decide free homotopy of two based loops")
     p.add_argument("-x", "--complex", required=True, help="complex file")
     p.add_argument("--loop1", required=True, help="based word '<vertex>: <word>'")
     p.add_argument("--loop2", required=True, help="based word '<vertex>: <word>'")
-
-    p = add("oracle-equal", cmd_oracle_equal, help="brute-force equality (small inputs)")
-    p.add_argument("-w", "--word", required=True)
-    p.add_argument("-v", "--other", required=True)
-
-    p = add("oracle-conjugate", cmd_oracle_conjugate,
-            help="brute-force conjugacy (small inputs)")
-    p.add_argument("-w", "--word", required=True)
-    p.add_argument("-v", "--other", required=True)
-
+    for key, what in (("equal", "equality"), ("conjugate", "conjugacy")):
+        add(f"oracle-{key}", cmd_oracle, f"brute-force {what} (small inputs)", 2, key=key)
     return parser
 
 
@@ -257,7 +184,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         args.fn(args)
-    except _InputError as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

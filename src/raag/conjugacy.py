@@ -108,14 +108,23 @@ def cyclic_equal(u: Word, v: Word):
     return kmp_first_occurrence(doubled, v)
 
 
-def _same_class(fw: CyclicNormalFactors, fv: CyclicNormalFactors) -> bool:
-    """Equal component collections and rotation-equal cyclic normal
-    forms factor by factor."""
-    return fw.components == fv.components and all(
-        cyclic_equal(a, b) is not None for a, b in zip(fw.factors, fv.factors))
+def _factor_rotations(fw: CyclicNormalFactors, fv: CyclicNormalFactors) -> list[int] | None:
+    """The rotation t_k that ``cyclic_equal`` finds for each factor k,
+    with rotate_left(fw.factors[k], t_k) == fv.factors[k]; None when the
+    component collections differ, or at the first factor that is no
+    rotation of its partner, without comparing the rest."""
+    if fw.components != fv.components:
+        return None
+    rotations = []
+    for u, v in zip(fw.factors, fv.factors):
+        t = cyclic_equal(u, v)
+        if t is None:
+            return None
+        rotations.append(t)
+    return rotations
 
 
 def conjugate_in_raag(g: DefiningGraph, w: Word, v: Word) -> bool:
     """Linear-time conjugacy decision: equal component collections and
     rotation-equal cyclic normal forms factor by factor."""
-    return _same_class(cyclic_normal_factors(g, w), cyclic_normal_factors(g, v))
+    return _factor_rotations(cyclic_normal_factors(g, w), cyclic_normal_factors(g, v)) is not None

@@ -13,20 +13,24 @@ from itertools import chain, groupby
 from typing import Iterable, NamedTuple
 
 
-class PresentationError(ValueError):
+class InputError(ValueError):
+    """An error that the input causes: a file that cannot be read,
+    malformed text, or a word or loop that a decider cannot take.  Every
+    such error of the package is one, and the CLI reports it on stderr
+    and exits 2; internal faults are not."""
+
+
+class PresentationError(InputError):
     """Bad generator names or commutation pairs."""
 
 
-class WordSyntaxError(ValueError):
+class WordSyntaxError(InputError):
     """Malformed word text."""
 
 
 class Letter(NamedTuple):
     gen: int   # generator index, 1-based
     sign: int  # +1 or -1
-
-    def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
 
 
 # A word is a plain tuple of Letters; the empty tuple is the empty word.
@@ -152,33 +156,47 @@ def support_components(g: DefiningGraph, gens: Iterable[int]) -> tuple[tuple[int
     return tuple(components)
 
 
+_MAX_LETTERS = 2**31 - 1  # the longest word that a piling takes (piling._RUN)
+
+
 def parse_word(g: DefiningGraph, text: str) -> Word:
     """Parse whitespace-separated tokens ``name`` or ``name^k`` (k a
-    nonzero integer in ASCII ``[+-]?[0-9]+``, expanded to |k| letters).
-    Each distinct token is parsed once per call, into a run of interned
-    ``letter_table`` letters, in order of first occurrence, so the first
-    bad token raises."""
+    nonzero integer in ASCII ``[+-]?[0-9]+`` of at most 10 digits,
+    expanded to |k| letters).  Each distinct token is parsed once per
+    call, in order of first occurrence, so the first bad token raises.
+    A word of more than 2^31-1 letters, which no piling can take, raises
+    before any token is expanded.  The letters are the interned ones of
+    ``letter_table``."""
     tokens = text.split()
     rows = letter_table(g.n)
-    runs = {tok: _token_run(g, rows, tok) for tok in dict.fromkeys(tokens)}
+    syllables = {tok: _syllable(g, rows, tok) for tok in dict.fromkeys(tokens)}
+    if max((k for _, k in syllables.values()), default=0) * len(tokens) > _MAX_LETTERS:
+        counts = {tok: k for tok, (_, k) in syllables.items()}
+        total = sum(map(counts.__getitem__, tokens))
+        if total > _MAX_LETTERS:
+            raise WordSyntaxError(f"word of {total} letters; at most {_MAX_LETTERS} are allowed")
+    runs = {tok: (l,) * k for tok, (l, k) in syllables.items()}
     return tuple(chain.from_iterable(map(runs.__getitem__, tokens)))
 
 
 _EXPONENT = re.compile(r"[+-]?[0-9]+")  # int() also takes "1_000" and non-ASCII digits
 
 
-def _token_run(g: DefiningGraph, rows, tok: str) -> Word:
+def _syllable(g: DefiningGraph, rows, tok: str) -> tuple[Letter, int]:
+    """The letter of a token and how many times it repeats."""
     name, sep, exp = tok.partition("^")
     if sep:
         if not _EXPONENT.fullmatch(exp):
             raise WordSyntaxError(f"malformed exponent in token {tok!r}")
+        if len(exp.lstrip("+-")) > 10:  # int() refuses more than 4,300 digits
+            raise WordSyntaxError(f"exponent of more than 10 digits in token '{name}^...'")
         k = int(exp)
         if k == 0:
             raise WordSyntaxError(f"zero exponent in token {tok!r}")
     else:
         k = 1
     i = g.index(name)
-    return (rows[i][1 if k > 0 else -1],) * abs(k)
+    return rows[i][1 if k > 0 else -1], abs(k)
 
 
 def format_word(g: DefiningGraph, w: Word) -> str:
@@ -197,31 +215,63 @@ def format_word(g: DefiningGraph, w: Word) -> str:
     return " ".join(out)
 
 
+def _read_directives(text: str, source: str, error: type[InputError], header: str,
+                     directives: dict) -> tuple[str, ...]:
+    """The line syntax of presentation and complex files: ``#`` starts a
+    comment, blank lines are skipped, and a line is a directive keyword
+    followed by whitespace-separated fields.  The ``header`` directive
+    must appear exactly once and name at least one thing; its names are
+    returned.  ``directives`` maps every other keyword to its field
+    count, what the fields are (for the message) and a function that
+    takes the list of fields.  Every message starts ``source:lineno``,
+    also that of an ``error`` the function raises."""
+    names = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
+            continue
+        kw = fields[0]
+        del fields[0]
+        if kw == header:
+            if names is not None:
+                raise error(f"{source}:{lineno}: repeated {kw!r} line")
+            if not fields:
+                raise error(f"{source}:{lineno}: {kw!r} needs at least one name")
+            names = tuple(fields)
+            continue
+        try:
+            count, what, take = directives[kw]
+        except KeyError:
+            raise error(f"{source}:{lineno}: unknown directive {kw!r}") from None
+        if len(fields) != count:
+            raise error(f"{source}:{lineno}: {kw!r} takes {what}")
+        try:
+            take(fields)
+        except error as e:
+            raise error(f"{source}:{lineno}: {e}") from None
+    if names is None:
+        raise error(f"{source}: missing {header!r} line")
+    return names
+
+
+def _read_text(path: str, error: type[InputError]) -> str:
+    """The UTF-8 text of a file; one that cannot be opened or decoded
+    raises ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise error(f"{path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: {e}") from None
+
+
 def parse_presentation(text: str, source: str = "<string>") -> DefiningGraph:
     """Presentation file format: one ``gens <name>+`` line, then zero or
     more ``commute <name> <name>`` lines; ``#`` starts a comment."""
-    names: tuple[str, ...] | None = None
-    pairs: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kw = fields[0]
-        if kw == "gens":
-            if names is not None:
-                raise PresentationError(f"{source}:{lineno}: repeated 'gens' line")
-            if len(fields) < 2:
-                raise PresentationError(f"{source}:{lineno}: 'gens' needs at least one name")
-            names = tuple(fields[1:])
-        elif kw == "commute":
-            if len(fields) != 3:
-                raise PresentationError(f"{source}:{lineno}: 'commute' takes exactly two names")
-            pairs.append((fields[1], fields[2]))
-        else:
-            raise PresentationError(f"{source}:{lineno}: unknown directive {kw!r}")
-    if names is None:
-        raise PresentationError(f"{source}: missing 'gens' line")
+    pairs: list[list[str]] = []
+    names = _read_directives(text, source, PresentationError, "gens",
+                             {"commute": (2, "exactly two names", pairs.append)})
     try:
         return build_graph(names, pairs)
     except PresentationError as e:
@@ -229,9 +279,4 @@ def parse_presentation(text: str, source: str = "<string>") -> DefiningGraph:
 
 
 def load_presentation(path: str) -> DefiningGraph:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as e:
-            raise PresentationError(f"{path}: {e}") from None
-    return parse_presentation(text, source=path)
+    return parse_presentation(_read_text(path, PresentationError), source=path)

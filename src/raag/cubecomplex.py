@@ -21,20 +21,21 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import DefiningGraph, Letter, Word, inverse_word, letter_row, parse_word
-from .conjugacy import CyclicNormalFactors, cyclic_equal, cyclic_normal_factors
+from .core import (DefiningGraph, InputError, Letter, Word, _index_of, _read_directives,
+                   _read_text, inverse_word, letter_row, parse_word)
+from .conjugacy import CyclicNormalFactors, _factor_rotations, cyclic_normal_factors
 from .centralizer import CentralizerGens, centralizer_generators
 
 
-class ComplexSyntaxError(ValueError):
+class ComplexSyntaxError(InputError):
     pass
 
 
-class NotALoop(ValueError):
+class NotALoop(InputError):
     pass
 
 
-class UntraceableWord(ValueError):
+class UntraceableWord(InputError):
     pass
 
 
@@ -143,16 +144,16 @@ def _corner(k: int, d1: Letter, d2: Letter, m: int, v: int) -> int:
     return ((2 * d1.gen + (d1.sign < 0)) * m + 2 * d2.gen + (d2.sign < 0)) * v + k
 
 
-def _square_corners(cx: CubeComplexMap, g: DefiningGraph,
+def _square_corners(cx: CubeComplexMap, g: DefiningGraph, by_id: dict[str, int],
                     problems: list[str]) -> tuple[set[int], bool]:
     """The corners that the square records provide, coded as by
     ``_corner``, and whether every record closes.  A record (e1, e2, e3,
     e4) closes under signs (s1, s2) when e1^s1 e2^s2 e3^-s1 e4^-s2 is a
     closed path, opposite sides carry equal labels and the two labels
     commute; each of the path's four vertices then gets the corner of
-    the two letters that leave it along the square's sides."""
+    the two letters that leave it along the square's sides.  ``by_id``
+    maps each edge id to its index in ``cx.edges``."""
     ids = cx._ids
-    by_id = {e.eid: k for k, e in enumerate(cx.edges)}
     src = [ids[e.src] for e in cx.edges]
     dst = [ids[e.dst] for e in cx.edges]
     label = [e.label for e in cx.edges]
@@ -198,9 +199,10 @@ def _square_corners(cx: CubeComplexMap, g: DefiningGraph,
 
 
 def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
-    """Checks local determinism, label ranges, and (when squares are
-    given) the convexity hypothesis at every vertex.  Global injectivity
-    of universal covers is assumed, never verified.
+    """Checks local determinism, label ranges, that no vertex name (nor,
+    when squares are given, edge id) repeats, and the squares and the
+    convexity hypothesis at every vertex when squares are given.  Global
+    injectivity of universal covers is assumed, never verified.
 
     Convexity asks that every pair of directions at a vertex with
     distinct commuting generators be a corner of some closing square.
@@ -214,7 +216,9 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     problems: list[str] = []
 
     vertex_set = set(cx.vertices)
-    vertices_ok = True
+    vertices_ok = len(vertex_set) == len(cx.vertices)
+    if not vertices_ok:
+        _repeats("vertex", cx.vertices, problems)
     for e in cx.edges:
         for v in (e.src, e.dst):
             if v not in vertex_set:
@@ -237,8 +241,13 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     squares_ok = True
     convexity_ok: bool | None = None
     convexity_checked = cx.squares is not None
-    if convexity_checked and labels_ok and vertices_ok:
-        provided, squares_ok = _square_corners(cx, g, problems)
+    if convexity_checked:
+        by_id = {e.eid: k for k, e in enumerate(cx.edges)}
+        if len(by_id) != len(cx.edges):  # a square record could name either edge
+            squares_ok = False
+            _repeats("edge id", (e.eid for e in cx.edges), problems)
+    if convexity_checked and squares_ok and labels_ok and vertices_ok:
+        provided, squares_ok = _square_corners(cx, g, by_id, problems)
         convexity_ok = True
         m, n_ids = 2 * g.n + 2, len(cx._names)
         have = Counter(map(n_ids.__rmod__, provided))
@@ -269,6 +278,11 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
 
     return ValidationReport(determinism_ok, labels_ok, vertices_ok,
                             squares_ok, convexity_checked, convexity_ok, problems)
+
+
+def _repeats(kind: str, names: Iterable[str], problems: list[str]) -> None:
+    """A problem line for each name that occurs more than once."""
+    problems += [f"repeated {kind} {x!r}" for x, k in Counter(names).items() if k > 1]
 
 
 def _walk(out: list[dict[Letter, int]], k: int, w: Word) -> int | None:
@@ -310,7 +324,7 @@ def normalize_based(cx: CubeComplexMap, g: DefiningGraph,
     commutations leave the base fixed, so that word is all that
     matters."""
     if bw.base != bw.end:
-        raise NotALoop(f"based word runs {bw.base} -> {bw.end}")
+        raise NotALoop(f"not a loop: based word runs {bw.base} -> {bw.end}")
     factors = cyclic_normal_factors(g, bw.word)
     base = trace(cx, bw.base, factors.events)
     if base is None:
@@ -323,13 +337,8 @@ def reach_by_centralizer(cx: CubeComplexMap, x_start: str,
     """Fixpoint of tracing each centralizer generator word (and its
     inverse) from already-reached vertices; monotone, at most one new
     vertex per expansion."""
-    moves: list[Word] = []
-    for z, _r in gens.roots:
-        moves.append(z)
-        moves.append(inverse_word(z))
-    for l in sorted(gens.link_gens):
-        moves.append((Letter(l, 1),))
-        moves.append((Letter(l, -1),))
+    moves = [m for z, _r in gens.roots for m in (z, inverse_word(z))]
+    moves += [(l,) for i in sorted(gens.link_gens) for l in letter_row(i)[1:]]
     start = cx._ids.get(x_start)
     if start is None:
         return {x_start}
@@ -363,14 +372,12 @@ def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
     """
     b1, f1 = normalize_based(cx, g, bw1)
     b2, f2 = normalize_based(cx, g, bw2)
-    if f1.components != f2.components:
+    rotations = _factor_rotations(f1, f2)
+    if rotations is None:
         return False
     # Align loop 1's factors onto loop 2's words; each cycled letter
     # moves the base one edge along that factor.
-    for u, v in zip(f1.factors, f2.factors):
-        t = cyclic_equal(u, v)
-        if t is None:
-            return False
+    for u, t in zip(f1.factors, rotations):
         nxt = trace(cx, b1, u[:t])
         if nxt is None:
             raise ReplayFailure(f"alignment letters untraceable from {b1}")
@@ -384,52 +391,25 @@ def parse_complex(text: str, g: DefiningGraph, source: str = "<string>") -> Cube
     """Complex file format: ``vertices <name>+``, lines
     ``edge <id> <src> <dst> <label>``, optional ``square <e> <e> <e> <e>``
     (boundary order); ``#`` starts a comment."""
-    vertices: tuple[str, ...] | None = None
     edges: list[Edge] = []
-    squares: list[tuple[str, str, str, str]] = []
-    saw_square = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        kw = fields[0]
-        if kw == "vertices":
-            if vertices is not None:
-                raise ComplexSyntaxError(f"{source}:{lineno}: repeated 'vertices' line")
-            if len(fields) < 2:
-                raise ComplexSyntaxError(f"{source}:{lineno}: 'vertices' needs at least one name")
-            vertices = tuple(fields[1:])
-        elif kw == "edge":
-            if len(fields) != 5:
-                raise ComplexSyntaxError(
-                    f"{source}:{lineno}: 'edge' takes id, src, dst, label")
-            eid, src, dst, label = fields[1:]
-            try:
-                gen = g.index(label)
-            except ValueError:
-                raise ComplexSyntaxError(
-                    f"{source}:{lineno}: unknown generator label {label!r}") from None
-            edges.append(Edge(eid, src, dst, gen))
-        elif kw == "square":
-            if len(fields) != 5:
-                raise ComplexSyntaxError(f"{source}:{lineno}: 'square' takes four edge ids")
-            saw_square = True
-            squares.append(tuple(fields[1:]))
-        else:
-            raise ComplexSyntaxError(f"{source}:{lineno}: unknown directive {kw!r}")
-    if vertices is None:
-        raise ComplexSyntaxError(f"{source}: missing 'vertices' line")
-    return CubeComplexMap(vertices, edges, squares if saw_square else None)
+    squares: list[tuple[str, ...]] = []
+    gen_of = _index_of(g.names).get
+
+    def edge(fields):
+        eid, src, dst, label = fields
+        gen = gen_of(label)
+        if gen is None:
+            raise ComplexSyntaxError(f"unknown generator label {label!r}")
+        edges.append(Edge(eid, src, dst, gen))
+
+    vertices = _read_directives(text, source, ComplexSyntaxError, "vertices", {
+        "edge": (4, "id, src, dst, label", edge),
+        "square": (4, "four edge ids", lambda ids: squares.append(tuple(ids)))})
+    return CubeComplexMap(vertices, edges, squares or None)
 
 
 def load_complex(path: str, g: DefiningGraph) -> CubeComplexMap:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as e:
-            raise ComplexSyntaxError(f"{path}: {e}") from None
-    return parse_complex(text, g, source=path)
+    return parse_complex(_read_text(path, ComplexSyntaxError), g, source=path)
 
 
 def parse_based_word(cx: CubeComplexMap, g: DefiningGraph, text: str) -> BasedWord:
@@ -437,6 +417,4 @@ def parse_based_word(cx: CubeComplexMap, g: DefiningGraph, text: str) -> BasedWo
     base, sep, rest = text.partition(":")
     if not sep:
         raise ComplexSyntaxError(f"based word {text!r} lacks a ':' separator")
-    base = base.strip()
-    w = parse_word(g, rest)
-    return based_word(cx, base, w)
+    return based_word(cx, base.strip(), parse_word(g, rest))

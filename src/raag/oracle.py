@@ -8,12 +8,12 @@ that independence is the point.
 from __future__ import annotations
 
 from .centralizer import CentralizerGens
-from .core import DefiningGraph, Letter, Word, inverse_word
+from .core import DefiningGraph, InputError, Letter, Word, inverse_word
 from .cubecomplex import CubeComplexMap
 
 
-class BoundExceeded(RuntimeError):
-    pass
+class BoundExceeded(InputError, RuntimeError):
+    """The input is too large for a brute-force search."""
 
 
 def _swap_moves(g: DefiningGraph, w: Word):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from raag import DefiningGraph, Letter, build_graph, normal_form, pi_star
+from raag.core import letter_row
 from raag.piling import _fold, _top_run
 
 
@@ -95,5 +96,5 @@ def random_equivalent_rewrite(g: DefiningGraph, w, rng: random.Random):
     else:
         i = rng.randrange(len(w) + 1)
         letter = Letter(rng.randrange(1, g.n + 1), rng.choice((1, -1)))
-        w[i:i] = [letter, letter.inverse()]
+        w[i:i] = [letter, letter_row(letter.gen)[-letter.sign]]
     return tuple(w)

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -214,15 +216,35 @@ def test_non_utf8_complex_file_exits_2(free_group_file, capsys, tmp_path):
         assert "bad.complex" in err and "utf-8" in err
 
 
+def readme_cli_lines() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## CLI\n"):text.index("\n## File formats\n")]
+    return [line for line in section.splitlines() if line.startswith("raag ")]
+
+
 def test_readme_runs_every_subcommand():
     """CI runs each ``raag`` line of the README's CLI section, so each
     subcommand must have one."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text[text.index("\n## CLI\n"):text.index("\n## File formats\n")]
-    named = {line.split()[1] for line in section.splitlines() if line.startswith("raag ")}
+    named = {line.split()[1] for line in readme_cli_lines()}
     sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert named == set(sub.choices)
     assert len(named) == 9
+
+
+def test_readme_lines_print_their_answers(capsys, monkeypatch):
+    """Each README CLI line completes; one that ends in a ``# YES`` or
+    ``# NO`` comment prints that answer first."""
+    monkeypatch.chdir(ROOT)
+    answered = 0
+    for line in readme_cli_lines():
+        command, _, comment = line.partition("#")
+        code, out, err = run(capsys, *shlex.split(command)[1:], "--no-timing")
+        assert (code, err) == (0, ""), line
+        expected = comment.split()[:1]
+        if expected in (["YES"], ["NO"]):
+            assert out.split()[:1] == expected, line
+            answered += 1
+    assert answered == 4
 
 
 def test_non_loop_exits_2(free_group_file, complex_file, capsys):
@@ -261,3 +283,100 @@ def test_cli_import_loads_only_the_word_deciders():
                 "inspect", "statistics", "random"}
     assert sorted(unwanted.intersection(on_import)) == []
     assert "raag.cubecomplex" in after_main
+
+
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def raag_process(argv, script=None):
+    """``raag argv`` in a process of its own whose address space is capped
+    at 1 GiB, so that an input that expands fails there rather than
+    exhausting the host."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = ["-c", script] if script else ["-m", "raag.cli"]
+    return subprocess.run([sys.executable, *cmd, *argv, "--no-timing"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+
+
+FREE = "examples/free.group"
+TRAP = "examples/trap.complex"
+LOOPS = ["--loop1", "x1: a1", "--loop2", "x1: a1"]
+
+# case -> (argv, a piece of the message); "{name}" is a file of hostile_files
+HOSTILE = {
+    "group_missing": (["word-problem", "-g", "{missing}", "-w", "a1"], "No such file"),
+    "group_directory": (["word-problem", "-g", "{directory}", "-w", "a1"], "directory"),
+    "group_not_utf8": (["word-problem", "-g", "{not_utf8}", "-w", "a1"], "utf-8"),
+    "complex_missing": (["validate-complex", "-g", FREE, "-x", "{missing}"], "No such file"),
+    "complex_directory": (["groupoid-conjugate", "-g", FREE, "-x", "{directory}", *LOOPS],
+                          "directory"),
+    "complex_not_utf8": (["validate-complex", "-g", FREE, "-x", "{not_utf8}"], "utf-8"),
+    "bad_presentation": (["word-problem", "-g", "{bad_group}", "-w", "a1"], "'a7'"),
+    "unknown_generator": (["normal-form", "-g", FREE, "-w", "a1 a9"], "'a9'"),
+    "malformed_exponent": (["normal-form", "-g", FREE, "-w", "a1^2x"], "'a1^2x'"),
+    "exponent_of_5000_digits": (["normal-form", "-g", FREE, "-w", "a1^" + "9" * 5000],
+                                "more than 10 digits"),
+    "exponent_bomb": (["word-problem", "-g", FREE, "-w", "a1^10000000000"],
+                      "more than 10 digits"),
+    "word_past_the_piling": (["conjugate", "-g", FREE, "-w", "a1", "-v", "a1^2147483647 a1"],
+                             "word of 2147483648 letters"),
+    "unknown_vertex": (["groupoid-conjugate", "-g", FREE, "-x", TRAP,
+                        "--loop1", "x9: a1", "--loop2", "x1: a1"], "'x9'"),
+    "non_loop": (["groupoid-conjugate", "-g", FREE, "-x", TRAP,
+                  "--loop1", "x1: a1", "--loop2", "x1: a2"], "not a loop"),
+    "invalid_complex": (["groupoid-conjugate", "-g", FREE, "-x", "{nondeterministic}", *LOOPS],
+                        "complex failed validation"),
+    "repeated_edge_id": (["groupoid-conjugate", "-g", "{commuting}", "-x", "{repeated_ids}",
+                          *LOOPS], "repeated edge id 'e1'"),
+    "oracle_bound": (["oracle-equal", "-g", FREE, "-w", "a1 " * 9, "-v", "a2 " * 9],
+                     "exceeds 16"),
+}
+
+
+@pytest.fixture
+def hostile_files(tmp_path):
+    files = {"missing": tmp_path / "missing", "directory": tmp_path}
+    for name, content in (
+            ("not_utf8", b"gens a1 a2\xff\n"),
+            ("bad_group", b"gens a1\ncommute a1 a7\n"),
+            ("nondeterministic", b"vertices x1 x2\nedge e1 x1 x1 a1\nedge e2 x1 x2 a1\n"),
+            ("commuting", b"gens a1 a2\ncommute a1 a2\n"),
+            ("repeated_ids", b"vertices x1 x2\nedge e1 x1 x1 a1\nedge e2 x1 x1 a2\n"
+                             b"square e1 e2 e1 e2\nedge e1 x2 x2 a1\n")):
+        files[name] = tmp_path / name
+        files[name].write_bytes(content)
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("case", HOSTILE)
+def test_hostile_input_exits_2(case, hostile_files):
+    """Every input the library rejects exits 2 with one ``error:`` message
+    and no traceback, within seconds and in a capped address space."""
+    argv, piece = HOSTILE[case]
+    proc = raag_process([arg.format(**hostile_files) for arg in argv])
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("error:") == 1
+    assert "Traceback" not in proc.stderr
+    assert piece in proc.stderr
+
+
+BROKEN_KERNEL = """
+import sys
+import raag.cli
+from raag.piling import PilingError
+
+def broken(g, w):
+    raise PilingError("broken kernel")
+
+raag.cli.normal_form = broken
+sys.exit(raag.cli.main(sys.argv[1:]))
+"""
+
+
+def test_internal_fault_exits_1():
+    """A fault of the program is no input error: it exits 1 with a
+    traceback."""
+    proc = raag_process(["normal-form", "-g", FREE, "-w", "a1"], script=BROKEN_KERNEL)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "PilingError: broken kernel" in proc.stderr

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import raag.core
 from raag.core import letter_table, support_components
 from raag import (
     Letter,
@@ -77,6 +78,24 @@ def test_parse_word_errors(example_graph):
         with pytest.raises(WordSyntaxError) as err:
             parse_word(g, text)
         assert str(err.value) == message
+
+
+def test_parse_word_caps_exponents_and_length(example_graph, monkeypatch):
+    """An exponent of more than 10 digits, and a word longer than a
+    piling can take, raise before any token is expanded.  The length cap
+    is lowered here, so that no word near the real one is built."""
+    g = example_graph
+    for text in ("a1^" + "9" * 5000, "a1^00000000001", "a2 a1^-" + "1" * 11):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(g, text)
+        assert str(err.value) == "exponent of more than 10 digits in token 'a1^...'"
+    assert parse_word(g, "a1^-0000000001") == parse_word(g, "a1^-1")
+    monkeypatch.setattr(raag.core, "_MAX_LETTERS", 10)
+    assert len(parse_word(g, "a1^5 a2^-5")) == len(parse_word(g, "a1 " * 10)) == 10
+    for text in ("a1^5 a2^-5 a3", "a1^11", "a1 " * 11, "a1^3 a2 a1^3 a2 a1^3"):
+        with pytest.raises(WordSyntaxError) as err:
+            parse_word(g, text)
+        assert str(err.value) == "word of 11 letters; at most 10 are allowed"
 
 
 def test_format_word_collapses_runs(example_graph):
@@ -181,9 +200,14 @@ def test_parse_presentation():
 
 
 def test_parse_presentation_errors():
-    with pytest.raises(PresentationError):
-        parse_presentation("commute a b")
-    with pytest.raises(PresentationError):
-        parse_presentation("gens a b\ncommute a c")
-    with pytest.raises(PresentationError):
-        parse_presentation("gens a b\nfrobnicate a")
+    for text, message in (
+            ("commute a b", "<string>: missing 'gens' line"),
+            ("gens a b\ncommute a c", "<string>: unknown name 'c' in commuting pair"),
+            ("gens a b\nfrobnicate a", "<string>:2: unknown directive 'frobnicate'"),
+            ("gens a\n\n  # note\ngens b", "<string>:4: repeated 'gens' line"),
+            ("gens # a b", "<string>:1: 'gens' needs at least one name"),
+            ("gens a b\ncommute a", "<string>:2: 'commute' takes exactly two names"),
+            ("gens a a", "<string>: duplicate generator name")):
+        with pytest.raises(PresentationError) as err:
+            parse_presentation(text)
+        assert str(err.value) == message

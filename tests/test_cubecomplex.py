@@ -65,14 +65,18 @@ def test_parse_complex_basics():
 
 
 def test_parse_complex_errors():
-    with pytest.raises(ComplexSyntaxError):
-        parse_complex("edge e1 x1 x1 a1", FREE2)  # no vertices line
-    with pytest.raises(ComplexSyntaxError):
-        parse_complex("vertices x1\nedge e1 x1 x1 zz", FREE2)
-    with pytest.raises(ComplexSyntaxError):
-        parse_complex("vertices x1\nbogus", FREE2)
-    with pytest.raises(ComplexSyntaxError):
-        parse_complex("vertices x1\nedge e1 x1", FREE2)
+    for text, message in (
+            ("edge e1 x1 x1 a1", "<string>: missing 'vertices' line"),
+            ("vertices x1\nedge e1 x1 x1 zz", "<string>:2: unknown generator label 'zz'"),
+            ("vertices x1\nbogus", "<string>:2: unknown directive 'bogus'"),
+            ("vertices x1\nedge e1 x1", "<string>:2: 'edge' takes id, src, dst, label"),
+            ("vertices x1\nvertices x2", "<string>:2: repeated 'vertices' line"),
+            ("# none\nvertices", "<string>:2: 'vertices' needs at least one name"),
+            ("vertices x1\nsquare e1 e1 e1", "<string>:2: 'square' takes four edge ids"),
+            ("bogus\nvertices x1", "<string>:1: unknown directive 'bogus'")):
+        with pytest.raises(ComplexSyntaxError) as err:
+            parse_complex(text, FREE2)
+        assert str(err.value) == message
 
 
 def test_validate_ok():
@@ -103,6 +107,10 @@ def test_validate_unknown_vertex():
     report = validate(cx, FREE2)
     assert not report.ok
     assert not report.vertices_ok
+    # a vertex declared twice is reported by name
+    report = validate(parse_complex("vertices x1 x1", FREE2), FREE2)
+    assert not report.ok and not report.vertices_ok
+    assert report.problems == ["repeated vertex 'x1'"]
 
 
 def test_validate_square_convexity_ok():
@@ -131,6 +139,20 @@ def test_validate_missing_square_is_convexity_violation():
     assert report.problems == [
         "square ('f1', 'f3', 'f1', 'f2'): no orientation closes the boundary "
         "with matching opposite labels and commuting sides"]
+    # a repeated edge id makes a square record ambiguous: it is named, and
+    # no convexity violation is blamed on the square
+    cx = parse_complex("""
+    vertices x1 x2
+    edge e1 x1 x1 a1
+    edge e2 x1 x1 a2
+    square e1 e2 e1 e2
+    edge e1 x2 x2 a1
+    """, g)
+    report = validate(cx, g)
+    assert not report.ok and not report.squares_ok
+    assert report.problems == ["repeated edge id 'e1'"]
+    # without squares, edge ids name nothing
+    assert validate(CubeComplexMap(cx.vertices, cx.edges), g).ok
 
 
 def test_trace_and_based_word():
@@ -267,8 +289,8 @@ def random_partial_complex(rng):
     some (vertex, letter) keys carry two edges, and generators above
     ``n_used`` label no edge at all.  Then some generator pairs commute,
     and the square records are None or a list from ``random_squares``;
-    now and then an edge carries a label outside 1..n or a vertex is
-    declared twice."""
+    now and then an edge carries a label outside 1..n, a vertex is
+    declared twice or an edge id repeats."""
     n = rng.randrange(1, 5)
     declared = [f"v{i}" for i in range(rng.randrange(1, 7))]
     ends = declared + [f"u{i}" for i in range(rng.randrange(0, 3))]
@@ -285,6 +307,8 @@ def random_partial_complex(rng):
         edges.append(Edge("bad", rng.choice(ends), rng.choice(ends), rng.choice((0, n + 1))))
     if rng.random() < 0.05:
         declared.append(rng.choice(declared))
+    if rng.random() < 0.05 and edges:
+        edges.append(rng.choice(edges)._replace(dst=rng.choice(ends)))
     return g, CubeComplexMap(declared, edges, squares), ends + ["nowhere"]
 
 
@@ -386,7 +410,9 @@ def reference_validate(cx, g):
     problems = []
     delta, multi = eager_delta(cx)
     vertex_set = set(cx.vertices)
-    vertices_ok = True
+    repeated = [x for x in dict.fromkeys(cx.vertices) if cx.vertices.count(x) > 1]
+    vertices_ok = not repeated
+    problems += [f"repeated vertex {x!r}" for x in repeated]
     for e in cx.edges:
         for v in (e.src, e.dst):
             if v not in vertex_set:
@@ -404,7 +430,12 @@ def reference_validate(cx, g):
     squares_ok = True
     convexity_ok = None
     convexity_checked = cx.squares is not None
-    if convexity_checked and labels_ok and vertices_ok:
+    if convexity_checked:
+        eids = [e.eid for e in cx.edges]
+        repeated = [x for x in dict.fromkeys(eids) if eids.count(x) > 1]
+        squares_ok = not repeated
+        problems += [f"repeated edge id {x!r}" for x in repeated]
+    if convexity_checked and squares_ok and labels_ok and vertices_ok:
         provided = set()
         by_id = {e.eid: e for e in cx.edges}
         for sq in cx.squares:

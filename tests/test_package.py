@@ -14,7 +14,7 @@ SRC = Path(raag.__file__).resolve().parent
 
 # the names the package root exports, by home module
 EXPORTS = {
-    "core": ["DefiningGraph", "Letter", "PresentationError", "WordSyntaxError",
+    "core": ["DefiningGraph", "InputError", "Letter", "PresentationError", "WordSyntaxError",
              "build_graph", "format_word", "inverse_word", "load_presentation",
              "parse_presentation", "parse_word"],
     "piling": ["EmptyPiling", "ExtractionStuck", "NotCyclicallyReduced", "Piling",
@@ -35,7 +35,7 @@ EXPORTS = {
 
 def test_lazy_exports_match_their_home_modules():
     names = [name for names in EXPORTS.values() for name in names]
-    assert len(names) == 53
+    assert len(names) == 54
     assert sorted(raag.__all__) == sorted(names)
     listed = dir(raag)
     for home, names in EXPORTS.items():
@@ -72,3 +72,16 @@ def test_every_export_is_used_or_documented():
     unused = [name for home, names in EXPORTS.items() if home != "oracle"
               for name in names if name not in known]
     assert unused == []
+
+
+def test_input_errors_share_one_type():
+    """Every error the input causes is one ``InputError``; internal faults
+    are not, and ``BoundExceeded`` stays a ``RuntimeError``."""
+    for name in ("PresentationError", "WordSyntaxError", "ComplexSyntaxError",
+                 "UntraceableWord", "NotALoop", "BoundExceeded"):
+        assert issubclass(getattr(raag, name), raag.InputError), name
+    assert issubclass(raag.InputError, ValueError)
+    assert issubclass(raag.BoundExceeded, RuntimeError)
+    from raag.centralizer import EmptyFactor
+    for fault in (raag.PilingError, raag.PilingTooLarge, raag.ReplayFailure, EmptyFactor):
+        assert not issubclass(fault, raag.InputError), fault
