@@ -111,7 +111,8 @@ def cmd_validate_complex(args):
 
     g = load_presentation(args.group)
     report = validate(load_complex(args.complex, g), g)
-    keys = ("ok", "determinism_ok", "labels_ok", "convexity_checked", "convexity_ok", "problems")
+    keys = ("ok", "determinism_ok", "labels_ok", "vertices_ok", "squares_ok",
+            "convexity_checked", "convexity_ok", "problems")
     _emit(args, lambda: {k: getattr(report, k) for k in keys}, report.summary)
 
 

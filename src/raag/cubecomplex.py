@@ -125,8 +125,13 @@ class ValidationReport(NamedTuple):
         lines = ["valid" if self.ok else "INVALID"]
         lines.append(f"determinism: {'ok' if self.determinism_ok else 'VIOLATED'}")
         lines.append(f"labels: {'ok' if self.labels_ok else 'VIOLATED'}")
-        if self.convexity_checked:
+        if self.convexity_ok is not None:
             lines.append(f"convexity: {'ok' if self.convexity_ok else 'VIOLATED'}")
+        elif self.convexity_checked:
+            # squares were given, but a problem below left them unusable
+            why = [what for ok, what in ((self.vertices_ok, "unknown or repeated vertex"),
+                                         (self.labels_ok, "label out of range")) if not ok]
+            lines.append(f"convexity: not checked ({', '.join(why) or 'repeated edge id'})")
         else:
             lines.append("convexity: not checked (no squares given; hypothesis assumed)")
         lines.append("injectivity of universal covers: not checked (assumed)")

@@ -34,12 +34,15 @@ tile (``_pop_bottom_tile``) and the largest-index extraction loop
 A tile can be removed from the bottom exactly when its stack starts
 with a signed bead (in a valid piling its non-commuting neighbours then
 start with 0 beads).  ``_extract`` packs the bottom 0 runs of all stacks
-into one int once per call, removes each tile by lowering its
-neighbours' fields with one subtraction, and keeps the ready stacks
-(signed bead at the bottom) as guard bits of one int, so the next letter
-is its highest bit.  Extraction therefore costs O(1) int operations per
-letter after an O(n) start, and emits the interned letters of
-``core.letter_table``.
+into one int once per call, each field holding 2^31 *minus* its run, so
+a field's guard bit is set exactly when its stack starts with a signed
+bead.  The ready stacks are then that int ANDed with the guard bits of
+the stacks that hold a signed bead, and the next letter is the highest
+set bit.  Removing a tile adds ``low`` once: each neighbour's run drops
+by one, and one that falls to 0 carries into its guard bit and is ready
+with no further work.  Extraction therefore costs a handful of int
+operations per letter after an O(n) start, and emits the interned
+letters of ``core.letter_table``.
 """
 from __future__ import annotations
 
@@ -85,6 +88,7 @@ class _Tile(NamedTuple):
     shift: int    # the offset of field i
     low: int      # the ones of the fields of a_i's non-commuting neighbours
     high: int     # their guard bits
+    keep: int     # every bit but the run bits of field i
 
 
 class _Layout(NamedTuple):
@@ -102,10 +106,11 @@ def _shift(i: int) -> int:
 
 @lru_cache
 def _layout(g: DefiningGraph) -> _Layout:
-    tiles = [_Tile(0, 0, 0)]
+    tiles = [_Tile(0, 0, 0, 0)]
+    ones = (1 << _shift(g.n + 1)) - 1
     for i in range(1, g.n + 1):
         low = sum(1 << _shift(j) for j in g.noncommute[i])
-        tiles.append(_Tile(_shift(i), low, low << 31))
+        tiles.append(_Tile(_shift(i), low, low << 31, ones ^ _RUN << _shift(i)))
     empty = sum(_GUARD << t.shift for t in tiles[1:])
     return _Layout(tuple(tiles), empty, empty >> 1, struct.Struct(f"<{g.n}I"))
 
@@ -226,10 +231,16 @@ def _fold(p: Piling, w: Word) -> None:
     beads, under, tiles = p._beads, p._under, lay.tiles
     try:
         for gen, sign in w:
-            sh, lo, h = tiles[gen]
+            sh, lo, h, keep = tiles[gen]
             run = top >> sh & _RUN
+            if run:
+                # a 0 bead on top: push, and empty the top run of stack gen
+                beads[gen].append(sign)
+                under[gen].append(run)
+                top = (top & keep) + lo
+                continue
             s = beads[gen]
-            if not run and s and s[-1] != sign:
+            if s and s[-1] != sign:
                 t = top - lo
                 if t & h != h:
                     raise PilingError(
@@ -239,8 +250,8 @@ def _fold(p: Piling, w: Word) -> None:
                 top = t | under[gen].pop() << sh
                 continue
             s.append(sign)
-            under[gen].append(run)
-            top += lo - (run << sh) if run else lo
+            under[gen].append(0)
+            top += lo
     finally:
         p._top = top
 
@@ -272,52 +283,59 @@ def _extract(p: Piling, exclude: Collection[int] = ()) -> list[Letter]:
     not in ``exclude`` that starts with a signed bead, in place,
     until there is none; returns the removed letters in order.  Raises
     ExtractionStuck, with the offending tile not removed, if a neighbour
-    of that tile has no 0 bead at the bottom."""
+    of that tile has no 0 bead at the bottom.
+
+    Works on one int ``cb`` whose field j holds 2^31 minus the bottom 0
+    run of stack j: a value from 1 to 2^31, so no field borrows or
+    carries, with the guard bit set exactly when the run is 0.  An
+    a_i-tile is stuck when ``cb & high`` is not 0; removing it is
+    ``cb += low``, and then stack i's next bottom run (under its next
+    signed bead, or its top run once it is empty) is subtracted from its
+    field.  The runs go back to the deques and to ``_top`` on the way
+    out, also when the extraction gets stuck."""
     n = p.graph.n
     lay = p._lay
     beads, under, tiles = p._beads, p._under, lay.tiles
     letters = letter_table(n)
     tops = _unpack(lay, p._top)
-    bottoms = tops[:]
-    # guard bits of the stacks outside ``exclude`` that hold a signed
-    # bead (occupied) and of those that start with one (ready)
-    ready = occupied = 0
+    fields = [0] * (n + 1)
+    # guard bits of the stacks outside ``exclude`` that hold a signed bead
+    occupied = 0
     for j in range(1, n + 1):
         if beads[j]:
-            bottoms[j] = _GUARD | under[j][0]
+            fields[j] = _GUARD - under[j][0]
             if j not in exclude:
                 occupied |= _GUARD << tiles[j].shift
-                if not under[j][0]:
-                    ready |= _GUARD << tiles[j].shift
-    bottom = _pack(lay, bottoms)
+        else:
+            fields[j] = _GUARD - (tops[j] & _RUN)
+    cb = _pack(lay, fields)
     out: list[Letter] = []
     try:
-        while ready:
+        while ready := cb & occupied:
             i = ready.bit_length() >> 5
-            sh, lo, h = tiles[i]
-            t = bottom - lo
-            if t & h != h:
+            sh, lo, h, _ = tiles[i]
+            if cb & h:
                 raise ExtractionStuck(
-                    f"stack {_lowest_field(h & ~t)} does not start with a 0 bead "
+                    f"stack {_lowest_field(cb & h)} does not start with a 0 bead "
                     f"under the bottom tile of {i}")
             u = under[i]
             u.popleft()
             out.append(letters[i][beads[i].popleft()])
-            nxt = u[0] if u else tops[i] & _RUN
-            bottom = t | nxt << sh
-            # neighbours whose bottom run was 1 now start with a signed bead
-            ready |= ((t - lo) & h ^ h) & occupied
-            if nxt or not u:
-                ready ^= _GUARD << sh
-                if not u:
-                    occupied ^= _GUARD << sh
+            cb += lo
+            if u:
+                nxt = u[0]
+            else:
+                occupied ^= _GUARD << sh
+                nxt = tops[i] & _RUN
+            if nxt:
+                cb -= nxt << sh
     finally:
-        bottoms = _unpack(lay, bottom)
+        fields = _unpack(lay, cb)
         for j in range(1, n + 1):
             if beads[j]:
-                under[j][0] = bottoms[j] & _RUN
+                under[j][0] = _GUARD - fields[j]
             else:
-                tops[j] = bottoms[j]
+                tops[j] = _GUARD | _GUARD - fields[j]
         p._top = _pack(lay, tops)
     return out
 

@@ -302,20 +302,24 @@ def test_acceptance_10_linearity():
     g = example()
     rng = random.Random(606)
     sizes = [10_000 * 2 ** k for k in range(5)]
-    medians = []
+    pairs = {n: [(random_reduced_word(g, n // 2, rng), random_reduced_word(g, n - n // 2, rng))
+                 for _ in range(3)] for n in sizes}
+    samples = {n: [] for n in sizes}
     gc.disable()
     try:
-        for n in sizes:
-            samples = []
-            for _ in range(3):
-                u = random_reduced_word(g, n // 2, rng)
-                v = random_reduced_word(g, n - n // 2, rng)
-                t0 = time.perf_counter()
+        # each round times one pair of every size, so a stretch of a slow
+        # host slows one sample of each size, not all three of one size
+        for k in range(3):
+            for n in sizes:
+                u, v = pairs[n][k]
+                # CPU time: the time this process waits for a shared CPU
+                # does not count
+                t0 = time.process_time()
                 conjugate_in_raag(g, u, v)
-                samples.append(time.perf_counter() - t0)
-            medians.append(statistics.median(samples))
+                samples[n].append(time.process_time() - t0)
     finally:
         gc.enable()
+    medians = [statistics.median(samples[n]) for n in sizes]
     ratios = [medians[i + 1] / medians[i] for i in range(len(sizes) - 1)]
     for r in ratios[-3:]:
         assert 1.5 <= r <= 2.7, (ratios, medians)

@@ -155,6 +155,21 @@ def test_validate_complex(free_group_file, complex_file, capsys):
     assert out.startswith("valid")
 
 
+def test_validate_complex_json_reports_vertices_and_squares(tmp_path, capsys):
+    group = tmp_path / "commuting.group"
+    group.write_text("gens a1 a2\ncommute a1 a2\n")
+    cx = tmp_path / "repeated.complex"
+    cx.write_text("vertices x1 x2\nedge e1 x1 x1 a1\nedge e2 x1 x1 a2\n"
+                  "square e1 e2 e1 e2\nedge e1 x2 x2 a1\n")
+    code, out, _ = run(capsys, "validate-complex", "-g", str(group), "-x", str(cx),
+                       "--json", "--no-timing")
+    assert code == 0
+    assert json.loads(out) == {
+        "ok": False, "determinism_ok": True, "labels_ok": True, "vertices_ok": True,
+        "squares_ok": False, "convexity_checked": True, "convexity_ok": None,
+        "problems": ["repeated edge id 'e1'"]}
+
+
 def test_groupoid_conjugate(free_group_file, complex_file, capsys):
     code, out, _ = run(capsys, "groupoid-conjugate", "-g", free_group_file,
                        "-x", complex_file, "--no-timing",

@@ -155,6 +155,30 @@ def test_validate_missing_square_is_convexity_violation():
     assert validate(CubeComplexMap(cx.vertices, cx.edges), g).ok
 
 
+def test_validate_summary_says_why_convexity_was_not_checked():
+    """Squares were given, but an earlier problem left them unusable: the
+    summary says convexity was not checked, and why, as the report's
+    ``convexity_ok`` of None does."""
+    g = build_graph(("a1", "a2"), [("a1", "a2")])
+    for text, why in (
+            ("vertices x1\nedge e1 x1 x9 a1\nedge e2 x1 x1 a2\nsquare e1 e2 e1 e2",
+             "unknown or repeated vertex"),
+            ("vertices x1 x2\nedge e1 x1 x1 a1\nedge e2 x1 x1 a2\nsquare e1 e2 e1 e2\n"
+             "edge e1 x2 x2 a1", "repeated edge id")):
+        report = validate(parse_complex(text, g), g)
+        assert report.convexity_checked and report.convexity_ok is None
+        lines = report.summary().splitlines()
+        assert lines[:4] == ["INVALID", "determinism: ok", "labels: ok",
+                             f"convexity: not checked ({why})"]
+        assert "VIOLATED" not in report.summary()
+    # a label out of range, beside an unknown vertex
+    cx = CubeComplexMap(["x1"], [Edge("e1", "x1", "x9", 1), Edge("e2", "x1", "x1", 3)],
+                        [("e1", "e2", "e1", "e2")])
+    report = validate(cx, g)
+    assert ("convexity: not checked (unknown or repeated vertex, label out of range)"
+            in report.summary().splitlines())
+
+
 def test_trace_and_based_word():
     assert trace(TRAP, "x1", parse_word(FREE2, "a2 a1 a2^-1")) == "x1"
     assert trace(TRAP, "x1", parse_word(FREE2, "a2 a2")) is None

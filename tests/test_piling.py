@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raag.core import support_components
-from raag.piling import ZERO, Piling, _extract, _fold, _pop_bottom_tile, _pyramidalize
+from raag.piling import (ZERO, Piling, _extract, _fold, _pop_bottom_tile, _pyramidalize,
+                         _top_run)
 from raag import (
     ExtractionStuck,
     Letter,
@@ -453,7 +454,9 @@ def fold_beads(g, w):
 def extract_by_scanning(g, stacks, exclude=()):
     """Reference: the scan-from-n greedy loop on explicit bead stacks, in
     place.  Emit the largest-index stack not in ``exclude`` that starts
-    with a signed bead, pop its tile, and scan again from n."""
+    with a signed bead, pop its tile, and scan again from n.  A tile that
+    a neighbour without a 0 bead at the bottom blocks raises
+    ExtractionStuck, naming the lowest such neighbour, and stays put."""
     out = []
     while True:
         for i in range(g.n, 0, -1):
@@ -461,9 +464,12 @@ def extract_by_scanning(g, stacks, exclude=()):
                 break
         else:
             return out
+        blocked = [j for j in sorted(g.noncommute[i]) if not stacks[j] or stacks[j][0] != ZERO]
+        if blocked:
+            raise ExtractionStuck(f"stack {blocked[0]} does not start with a 0 bead "
+                                  f"under the bottom tile of {i}")
         out.append(Letter(i, stacks[i].popleft()))
         for j in g.noncommute[i]:
-            assert stacks[j][0] == ZERO
             stacks[j].popleft()
 
 
@@ -511,3 +517,54 @@ def test_kernel_matches_references_on_random_graphs():
         assert sorted(events, key=lambda l: comp[l.gen]) == [l for r in refs for l in r[1]]
         # the joint cycling order is itself a conjugator from p to q
         assert pi_star(g, inverse_word(events) + sigma_star(p) + tuple(events)) == q
+
+
+def test_stuck_extraction_stops_at_the_blocked_tile():
+    """A piling that no word folds to, stuck part-way through: the kernel
+    raises the reference's message and leaves the stacks as the
+    reference does at the blocked tile, with that tile still in place."""
+    rng = random.Random(77)
+    stuck_part_way = set()
+    for k in range(600):
+        n = rng.randrange(2, 8) if k % 3 else rng.choice((16, 64, 65))
+        g = random_graph(rng, n)
+        ref = [deque(s) for s in pi_star(g, random_word(g, rng.randrange(4, 60), rng)).stacks]
+        # add a signed bead to one stack, and now and then drop a bead of it
+        j = rng.choice([i for i in range(1, n + 1) if ref[i]] or [1])
+        ref[j].insert(rng.randrange(len(ref[j]) + 1), rng.choice((1, -1)))
+        if rng.random() < 0.5 and len(ref[j]) > 1:
+            del ref[j][rng.randrange(len(ref[j]))]
+        exclude = set(rng.sample(range(1, n + 1), rng.randrange(0, 3) if k % 2 else 0))
+        p = Piling.from_stacks(g, ref)
+        before = p.signed_count
+        try:
+            letters = extract_by_scanning(g, ref, exclude)
+        except ExtractionStuck as err:
+            with pytest.raises(ExtractionStuck) as stuck:
+                _extract(p, exclude)
+            assert str(stuck.value) == str(err)
+            if p.signed_count < before:
+                stuck_part_way.add(bool(exclude))
+        else:
+            assert _extract(p, exclude) == letters
+        assert stacks_of(p) == list(map(tuple, ref))
+        assert p == Piling.from_stacks(g, ref)
+    assert stuck_part_way == {False, True}
+
+
+def test_extract_keeps_a_bottom_run_of_2_31_minus_1():
+    """The longest 0 runs, at the bottom of a stack with signed beads
+    and on an empty stack, sit in fields beside other fields and
+    come back from extraction exact."""
+    g = build_graph(("a1", "a2", "a3"), [])
+    # stacks a1: 0 +, a2: + 0, a3: 0 0
+    p = pi_star(g, (Letter(2, 1), Letter(1, 1)))
+    p._under[1][0] = 2 ** 31 - 1
+    p._top += (2 ** 31 - 3) << 64  # the run on empty stack a3: 2 -> 2^31 - 1
+    q = p.copy()
+    assert _extract(q, {2}) == [] and q == p
+    # removing the a2-tile shortens both long runs by one bead
+    assert _extract(q) == [Letter(2, 1)]
+    assert (q._under[1][0], _top_run(q, 1), _top_run(q, 2), _top_run(q, 3)) == (
+        2 ** 31 - 2, 0, 1, 2 ** 31 - 2)
+    assert list(q._beads[1]) == [1] and q.signed_count == 1
