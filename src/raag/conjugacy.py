@@ -4,14 +4,16 @@ The whole pipeline is: word -> piling -> cyclic reduction -> pyramidalize
 every component of the support graph at once -> extract -> sort the
 letters into one factor per component.  Each factor then carries a
 cyclic normal form, unique for its conjugacy class up to rotation, so
-conjugacy reduces to cyclic string equality per factor.
+conjugacy reduces to cyclic string equality per factor.  The conjugacy
+decision first compares the letter counts of the two cyclically
+reduced pilings, and answers NO there when they differ.
 """
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
 from .core import DefiningGraph, Letter, Word, support_components
-from .piling import _drain, cyclic_reduce, pi_star, pyramidalize
+from .piling import Piling, _drain, _letter_counts, cyclic_reduce, pi_star, pyramidalize
 
 
 class CyclicNormalFactors(NamedTuple):
@@ -42,6 +44,13 @@ def cyclic_normal_factors(g: DefiningGraph, w: Word) -> CyclicNormalFactors:
     and the joint cycling in the order they would alone; sorting them by
     component gives the factors and the events."""
     p, events = cyclic_reduce(pi_star(g, w))
+    return _factor(g, p, events)
+
+
+def _factor(g: DefiningGraph, p: Piling, events: list[Letter]) -> CyclicNormalFactors:
+    """``cyclic_normal_factors`` from the cyclic reduction on: p is the
+    cyclically reduced piling, left as it is, and events the letters of
+    its reduction, which this extends."""
     if p.is_empty():
         return CyclicNormalFactors((), (), tuple(events))
     components = support_components(g, p.support())
@@ -124,7 +133,29 @@ def _factor_rotations(fw: CyclicNormalFactors, fv: CyclicNormalFactors) -> list[
     return rotations
 
 
+def _factor_both(g: DefiningGraph, w: Word,
+                 v: Word) -> tuple[CyclicNormalFactors, CyclicNormalFactors] | None:
+    """The cyclic normal factors of w and of v; None, before either is
+    pyramidalized or extracted, when their cyclically reduced pilings
+    differ in letter counts (``conjugate_in_raag`` says why that is
+    exact)."""
+    pw, ew = cyclic_reduce(pi_star(g, w))
+    pv, ev = cyclic_reduce(pi_star(g, v))
+    if _letter_counts(pw) != _letter_counts(pv):
+        return None
+    return _factor(g, pw, ew), _factor(g, pv, ev)
+
+
 def conjugate_in_raag(g: DefiningGraph, w: Word, v: Word) -> bool:
     """Linear-time conjugacy decision: equal component collections and
-    rotation-equal cyclic normal forms factor by factor."""
-    return _factor_rotations(cyclic_normal_factors(g, w), cyclic_normal_factors(g, v)) is not None
+    rotation-equal cyclic normal forms factor by factor.
+
+    The cyclically reduced pilings are compared by their letter counts
+    first, and differing counts answer NO before either word is
+    pyramidalized or extracted.  That answer is exact: pyramidalize
+    never cancels a tile of a cyclically reduced piling and extraction
+    emits every tile, so the factors hold exactly the reduced piling's
+    letters, and factors that are rotations of each other hold the same
+    letters."""
+    both = _factor_both(g, w, v)
+    return both is not None and _factor_rotations(*both) is not None

@@ -10,8 +10,9 @@ each id has a letter -> next id map built straight from the edges and
 keyed by the interned letters of ``core.letter_row``.  Walks run on it;
 names appear only at the ends of ``trace`` and ``reach_by_centralizer``,
 and the name-keyed ``delta`` view is derived from it on first use.
-The decider answers YES as soon as the aligned base of the first loop
-is the second loop's base, without building the centralizer.
+The decider answers NO as soon as the cyclically reduced loop words
+differ in letter counts, and YES as soon as the aligned base of the
+first loop is the second loop's base, without building the centralizer.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .core import (DefiningGraph, InputError, Letter, Word, _index_of, _read_directives,
                    _read_text, inverse_word, letter_row, parse_word)
-from .conjugacy import CyclicNormalFactors, _factor_rotations, cyclic_normal_factors
+from .conjugacy import CyclicNormalFactors, _factor_both, _factor_rotations, cyclic_normal_factors
 from .centralizer import CentralizerGens, centralizer_generators
 
 
@@ -322,19 +323,28 @@ def based_word(cx: CubeComplexMap, base: str, w: Word) -> BasedWord:
     return BasedWord(base, w, end)
 
 
+def _require_loop(bw: BasedWord) -> None:
+    if bw.base != bw.end:
+        raise NotALoop(f"not a loop: based word runs {bw.base} -> {bw.end}")
+
+
+def _carry(cx: CubeComplexMap, base: str, factors: CyclicNormalFactors) -> str:
+    """The base vertex carried along the conjugator word ``events``;
+    cancellations and commutations leave the base fixed, so that word
+    is all that matters."""
+    end = trace(cx, base, factors.events)
+    if end is None:
+        raise ReplayFailure(f"event letters untraceable from {base}")
+    return end
+
+
 def normalize_based(cx: CubeComplexMap, g: DefiningGraph,
                     bw: BasedWord) -> tuple[str, CyclicNormalFactors]:
     """Cyclic-normal-factor the loop word and carry the base vertex
-    along the conjugator word ``events``; cancellations and
-    commutations leave the base fixed, so that word is all that
-    matters."""
-    if bw.base != bw.end:
-        raise NotALoop(f"not a loop: based word runs {bw.base} -> {bw.end}")
+    along the conjugator word ``events``."""
+    _require_loop(bw)
     factors = cyclic_normal_factors(g, bw.word)
-    base = trace(cx, bw.base, factors.events)
-    if base is None:
-        raise ReplayFailure(f"event letters untraceable from {bw.base}")
-    return base, factors
+    return _carry(cx, bw.base, factors), factors
 
 
 def reach_by_centralizer(cx: CubeComplexMap, x_start: str,
@@ -367,16 +377,26 @@ def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
                        bw1: BasedWord, bw2: BasedWord) -> bool:
     """Decide whether two based loops are freely homotopic.
 
-    Normalize both loops (carrying the base vertex along), compare the
-    factor collections, align the first loop's factors onto the second's
-    by based cyclings, then ask whether some centralizer word of the
-    common cyclic normal form traces from the first base to the second.
-    The empty centralizer word leads from a base to itself, so when the
-    aligned base already is the second base the answer is YES without
-    that search.
+    Raise ``NotALoop`` for loop 1, then for loop 2.  Freely homotopic
+    loops have conjugate words, so, as in ``conjugate_in_raag``, loop
+    words whose cyclically reduced pilings differ in letter counts are
+    NO before anything is pyramidalized, extracted or traced: their
+    factors are never rotations of each other.  Otherwise normalize both loops
+    (carrying the base vertex along), compare the factor collections,
+    align the first loop's factors onto the second's by based cyclings,
+    then ask whether some centralizer word of the common cyclic normal
+    form traces from the first base to the second.  The empty
+    centralizer word leads from a base to itself, so when the aligned
+    base already is the second base the answer is YES without that
+    search.
     """
-    b1, f1 = normalize_based(cx, g, bw1)
-    b2, f2 = normalize_based(cx, g, bw2)
+    _require_loop(bw1)
+    _require_loop(bw2)
+    both = _factor_both(g, bw1.word, bw2.word)
+    if both is None:
+        return False
+    f1, f2 = both
+    b1, b2 = _carry(cx, bw1.base, f1), _carry(cx, bw2.base, f2)
     rotations = _factor_rotations(f1, f2)
     if rotations is None:
         return False

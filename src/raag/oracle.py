@@ -150,16 +150,22 @@ def reach_by_preferred_enumeration(cx: CubeComplexMap, x_start: str,
     results: set[str] = set()
 
     def tail(x: str, budget: int, seen: set):
-        if (x, budget) in seen:
-            return
-        seen.add((x, budget))
-        results.add(x)
-        if budget == 0:
-            return
-        for l in link_letters:
-            y = cx.delta.get((x, l))
-            if y is not None:
-                tail(y, budget - 1, seen)
+        # depth-first on an explicit stack: a tail may run norm_bound
+        # letters, past the recursion limit
+        stack = [(x, budget)]
+        while stack:
+            state = stack.pop()
+            if state in seen:
+                continue
+            seen.add(state)
+            x, budget = state
+            results.add(x)
+            if budget == 0:
+                continue
+            for l in link_letters:
+                y = cx.delta.get((x, l))
+                if y is not None:
+                    stack.append((y, budget - 1))
 
     def blocks(i: int, x: str, budget: int):
         if i == len(roots):

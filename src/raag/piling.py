@@ -371,6 +371,13 @@ def _wraps(p: Piling, i: int) -> bool:
     return bool(s) and not p._under[i][0] and not _top_run(p, i) and s[-1] == -s[0]
 
 
+def _letter_counts(p: Piling) -> tuple[tuple[int, int], ...]:
+    """Per stack, the number of signed beads and of + beads among them:
+    how often the piling's tiles use a_i and a_i^-1.  O(n) calls; the
+    counting runs in C."""
+    return tuple((len(s), s.count(PLUS)) for s in p._beads)
+
+
 def is_cyclically_reduced(p: Piling) -> bool:
     return not any(_wraps(p, i) for i in range(1, p.graph.n + 1))
 

@@ -8,6 +8,7 @@ import gc
 import random
 import statistics
 import time
+from collections import Counter
 
 import pytest
 
@@ -328,19 +329,18 @@ def test_acceptance_10_linearity():
                + " all in [1.5, 2.7]")
 
 
-def test_acceptance_10_kernel_traffic_is_linear(monkeypatch):
-    """The clock-free side of the check above: the letters that pass
-    through the piling kernel (folded, extracted, popped from the bottom)
-    in one conjugacy decision double with the input, on random reduced
-    words and on the path-graph family that cycles nearly every tile."""
-    traffic = [0]
+def count_kernel_letters(monkeypatch) -> Counter:
+    """Wrap the piling kernel so that the returned counter holds, per
+    kernel function, the letters that passed through it: folded,
+    extracted, or popped from the bottom."""
+    traffic = Counter()
 
     def count(name, letters):
         real = getattr(raag.piling, name)
 
         def wrapper(*args):
             out = real(*args)
-            traffic[0] += letters(args, out)
+            traffic[name] += letters(args, out)
             return out
 
         monkeypatch.setattr(raag.piling, name, wrapper)
@@ -348,11 +348,25 @@ def test_acceptance_10_kernel_traffic_is_linear(monkeypatch):
     count("_fold", lambda args, out: len(args[1]))
     count("_extract", lambda args, out: len(out))
     count("_pop_bottom_tile", lambda args, out: 1)
+    return traffic
+
+
+def path_graph():
+    """a1 - a2 - ... - a6: neighbours do not commute, all other pairs do."""
+    return build_graph([f"a{i}" for i in range(1, 7)],
+                       [(f"a{i}", f"a{j}") for i in range(1, 7) for j in range(i + 2, 7)])
+
+
+def test_acceptance_10_kernel_traffic_is_linear(monkeypatch):
+    """The clock-free side of the check above: the letters that pass
+    through the piling kernel (folded, extracted, popped from the bottom)
+    in one conjugacy decision double with the input, on random reduced
+    words and on the path-graph family that cycles nearly every tile."""
+    traffic = count_kernel_letters(monkeypatch)
 
     g = example()
     rng = random.Random(808)
-    path = build_graph([f"a{i}" for i in range(1, 7)],
-                       [(f"a{i}", f"a{j}") for i in range(1, 7) for j in range(i + 2, 7)])
+    path = path_graph()
 
     def random_words(n):
         return g, random_reduced_word(g, n, rng)
@@ -367,15 +381,58 @@ def test_acceptance_10_kernel_traffic_is_linear(monkeypatch):
         for n in (2000, 4000):
             h, w = words(n)
             t = len(w) // 3
-            traffic[0] = 0
+            traffic.clear()
             assert conjugate_in_raag(h, w, w[t:] + w[:t])
-            assert traffic[0] < bound * 2 * len(w), (family, n, traffic[0])
-            counts.append(traffic[0])
+            total = traffic.total()
+            assert total < bound * 2 * len(w), (family, n, total)
+            counts.append(total)
         ratio = counts[1] / counts[0]
         assert 1.8 <= ratio <= 2.2, (family, counts)
         lines.append(f"{family} {ratio:.3f}")
     report(10, "kernel letters per decision double with the input: "
                + ", ".join(lines) + f"; under {bound} per input letter")
+
+
+# kernel letters of the YES decisions below, as measured before the
+# count check: the check adds no kernel work to a YES
+YES_TRAFFIC = {
+    "path": Counter(_fold=7355, _extract=7355),
+    "loop": Counter(_fold=800, _extract=800),
+}
+
+
+def test_acceptance_10_count_check_extracts_nothing_on_no(monkeypatch):
+    """Pairs whose cyclically reduced pilings hold different letter
+    counts are NO before anything is pyramidalized or extracted: a word
+    of the path family against itself with one letter inverted, and a
+    loop against itself with a closed power inserted.  Their YES
+    partners (a rotation; a based rotation) move exactly the kernel
+    letters that they moved before the count check existed."""
+    traffic = count_kernel_letters(monkeypatch)
+
+    path = path_graph()
+    w = parse_word(path, "a6 a5 a4 a3 a2 " * 400 + "a1")  # (a6 ... a2)^400 a1
+    t = len(w) // 3
+    v = w[:t] + (Letter(w[t].gen, -w[t].sign),) + w[t + 1:]
+    assert not conjugate_in_raag(path, w, v)
+    assert traffic["_extract"] == 0
+    traffic.clear()
+    assert conjugate_in_raag(path, w, w[t:] + w[:t])
+    assert traffic == YES_TRAFFIC["path"]
+
+    g, cx = trap_complex()
+    z = parse_word(g, "a1 a2 a1 a2^-1")  # a loop at x1 through x2
+    loop = based_word(cx, "x1", z * 100)
+    inserted = based_word(cx, "x1", z[:1] + z * 100)  # a1 is closed at x1
+    traffic.clear()
+    assert not groupoid_conjugate(cx, g, loop, inserted)
+    assert traffic["_extract"] == 0
+    rotated = based_word(cx, "x2", (z[2:] + z[:2]) * 100)
+    traffic.clear()
+    assert groupoid_conjugate(cx, g, loop, rotated)
+    assert traffic == YES_TRAFFIC["loop"]
+    report(10, "letter counts answer NO with 0 extracted letters; YES traffic "
+               + ", ".join(f"{k} {c.total()}" for k, c in YES_TRAFFIC.items()))
 
 
 def test_acceptance_11_minimal_root():

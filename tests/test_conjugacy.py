@@ -15,9 +15,11 @@ from raag import (
     is_cyclically_reduced,
     kmp_first_occurrence,
     normal_form,
+    oracle_conjugate,
     parse_word,
     pi_star,
 )
+from raag.piling import _letter_counts
 from .conftest import (is_cyclic_normal, is_normal, random_equivalent_rewrite, random_graph,
                        random_word)
 
@@ -183,6 +185,26 @@ def test_normal_form_invariant_under_rewrites(example_graph):
         for _ in range(15):
             v = random_equivalent_rewrite(g, v, rng)
         assert normal_form(g, v) == nf
+
+
+def test_equal_letter_counts_decided_as_the_oracle():
+    """The NO answers that the letter counts cannot give: a word against
+    a permutation of its letters, kept when both cyclically reduced
+    pilings hold the same letters, so that the decision runs the whole
+    pipeline.  Both answers occur."""
+    rng = random.Random(43)
+    answers = []
+    while len(answers) < 400:
+        g = random_graph(rng, rng.randrange(3, 6))
+        w = random_word(g, rng.randrange(1, 9), rng)
+        v = tuple(rng.sample(w, len(w)))
+        if (_letter_counts(cyclic_reduce(pi_star(g, w))[0])
+                != _letter_counts(cyclic_reduce(pi_star(g, v))[0])):
+            continue
+        got = conjugate_in_raag(g, w, v)
+        assert got == oracle_conjugate(g, w, v), (g, w, v)
+        answers.append(got)
+    assert answers.count(True) >= 20 and answers.count(False) >= 20
 
 
 def test_free_group_conjugacy():

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from itertools import combinations, product
 
@@ -282,6 +283,21 @@ def test_reach_matches_preferred_enumeration():
             for x in cx.vertices:
                 assert reach_by_centralizer(cx, x, gens) == \
                     reach_by_preferred_enumeration(cx, x, gens, len(cx.vertices))
+
+
+def test_preferred_enumeration_runs_past_the_recursion_limit():
+    """A link-letter tail of 400 letters, back and forth along the
+    square complex's a1-edge, under a recursion limit of 150."""
+    g, cx = square_complex()
+    gens = centralizer_generators(g, cyclic_normal_factors(g, parse_word(g, "a2")))
+    assert gens.link_gens == {1}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        for x in cx.vertices:
+            assert reach_by_preferred_enumeration(cx, x, gens, 400) == {"y1", "y2"}
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def delta_trace(cx, x, w):
@@ -602,6 +618,20 @@ def test_groupoid_conjugate_rejects_non_loops():
     loop = based_word(TRAP, "x1", parse_word(FREE2, "a1"))
     with pytest.raises(NotALoop):
         groupoid_conjugate(TRAP, FREE2, bw, loop)
+
+
+def test_groupoid_conjugate_checks_both_loops_before_counting():
+    """NotALoop for loop 1 first, then for loop 2, even when the letter
+    counts alone would answer NO."""
+    loop = based_word(TRAP, "x1", parse_word(FREE2, "a1"))
+    open1 = based_word(TRAP, "x1", parse_word(FREE2, "a2"))
+    open2 = based_word(TRAP, "x2", parse_word(FREE2, "a2^-1 a1"))
+    with pytest.raises(NotALoop, match="^not a loop: based word runs x1 -> x2$"):
+        groupoid_conjugate(TRAP, FREE2, loop, open1)
+    with pytest.raises(NotALoop, match="^not a loop: based word runs x1 -> x2$"):
+        groupoid_conjugate(TRAP, FREE2, open1, open2)
+    with pytest.raises(NotALoop, match="^not a loop: based word runs x2 -> x1$"):
+        groupoid_conjugate(TRAP, FREE2, loop, open2)
 
 
 def test_parse_based_word():
