@@ -108,7 +108,14 @@ def kmp_first_occurrence(text, pattern):
 
 
 def cyclic_equal(u: Word, v: Word):
-    """Smallest t >= 0 with rotate_left(u, t) == v, else None."""
+    """Smallest t >= 0 with rotate_left(u, t) == v, else None.
+
+    KMP over the letters, rather than ``str.find`` on a code string per
+    word: CPython's ``str.find`` is quadratic below its two-way cutoff.
+    On a^(L-1) b it read 340-510 ns/char at L = 2,000 on 3.11, against
+    6 ns/char from L = 2,400 on, and still 349 ns/char at L = 4,000 on
+    3.10.  Spelling the letters as a code string also costs about
+    115 ns/letter, so it would win only about 2x over KMP."""
     if len(u) != len(v):
         return None
     if not u:

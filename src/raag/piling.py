@@ -43,6 +43,13 @@ by one, and one that falls to 0 carries into its guard bit and is ready
 with no further work.  Extraction therefore costs a handful of int
 operations per letter after an O(n) start, and emits the interned
 letters of ``core.letter_table``.
+
+The kernel loops unpack only exact tuples: ``_Layout.tiles`` holds
+plain 4-tuples, and ``_extract`` joins each stack's masks, deques and
+letter row into one tuple per call.  CPython unpacks an exact tuple
+directly but a NamedTuple, a tuple subclass, through its generic
+iterator path: 57 against 20 ns on 3.11, and 1.7x to 3.7x slower on
+3.10, 3.12 and 3.13, once per letter in both loops.
 """
 from __future__ import annotations
 
@@ -82,19 +89,14 @@ class NotCyclicallyReduced(PilingError):
     pass
 
 
-class _Tile(NamedTuple):
-    """What the kernel needs to move an a_i-tile."""
-
-    shift: int    # the offset of field i
-    low: int      # the ones of the fields of a_i's non-commuting neighbours
-    high: int     # their guard bits
-    keep: int     # every bit but the run bits of field i
-
-
 class _Layout(NamedTuple):
     """The packed fields of one graph, built on first use."""
 
-    tiles: tuple[_Tile, ...]  # one per generator index; entry 0 is unused
+    # One exact 4-tuple (shift, low, high, keep) per generator index i,
+    # entry 0 unused: the offset of field i; the ones of the fields of
+    # a_i's non-commuting neighbours; their guard bits; and every bit but
+    # the run bits of field i.
+    tiles: tuple[tuple[int, int, int, int], ...]
     empty: int                # ``Piling._top`` of the empty piling: the guard bits
     half: int                 # bit 30 of every field
     fields: struct.Struct     # n little-endian 32-bit fields
@@ -106,12 +108,12 @@ def _shift(i: int) -> int:
 
 @lru_cache
 def _layout(g: DefiningGraph) -> _Layout:
-    tiles = [_Tile(0, 0, 0, 0)]
+    tiles = [(0, 0, 0, 0)]
     ones = (1 << _shift(g.n + 1)) - 1
     for i in range(1, g.n + 1):
         low = sum(1 << _shift(j) for j in g.noncommute[i])
-        tiles.append(_Tile(_shift(i), low, low << 31, ones ^ _RUN << _shift(i)))
-    empty = sum(_GUARD << t.shift for t in tiles[1:])
+        tiles.append((_shift(i), low, low << 31, ones ^ _RUN << _shift(i)))
+    empty = sum(_GUARD << t[0] for t in tiles[1:])
     return _Layout(tuple(tiles), empty, empty >> 1, struct.Struct(f"<{g.n}I"))
 
 
@@ -221,7 +223,13 @@ def _fold(p: Piling, w: Word) -> None:
     else add a tile on top.  A cancel whose neighbours do not all end
     with a 0 bead raises PilingError and leaves the piling as the
     letters before it made it.  Raises PilingTooLarge, changing nothing,
-    if a 0 run could pass 2^31-1 beads."""
+    if a 0 run could pass 2^31-1 beads.
+
+    Each letter unpacks its exact 4-tuple from ``_Layout.tiles`` (see the
+    module docstring).  The set-up per call stays O(1), with no per-stack
+    rows as in ``_extract``: ``cyclic_reduce`` folds one letter per call,
+    and building rows here made c.u.c^-1 with |c| = |u| = 5,000, about
+    5,000 such calls, 62% and 94% slower at 16 and 64 generators."""
     lay = p._lay
     top = p._top
     if len(w) >> 30 or top & lay.half:
@@ -292,7 +300,11 @@ def _extract(p: Piling, exclude: Collection[int] = ()) -> list[Letter]:
     ``cb += low``, and then stack i's next bottom run (under its next
     signed bead, or its top run once it is empty) is subtracted from its
     field.  The runs go back to the deques and to ``_top`` on the way
-    out, also when the extraction gets stuck."""
+    out, also when the extraction gets stuck.
+
+    An O(n) start joins each stack's tile masks, bead and run deques and
+    letter row into one exact tuple, so each letter finds all it needs
+    in one fast unpack (see the module docstring)."""
     n = p.graph.n
     lay = p._lay
     beads, under, tiles = p._beads, p._under, lay.tiles
@@ -305,22 +317,23 @@ def _extract(p: Piling, exclude: Collection[int] = ()) -> list[Letter]:
         if beads[j]:
             fields[j] = _GUARD - under[j][0]
             if j not in exclude:
-                occupied |= _GUARD << tiles[j].shift
+                occupied |= _GUARD << tiles[j][0]
         else:
             fields[j] = _GUARD - (tops[j] & _RUN)
     cb = _pack(lay, fields)
+    # per stack: (shift, low, high, keep, beads, under, letter row)
+    rows = list(map(tuple.__add__, tiles, zip(beads, under, letters)))
     out: list[Letter] = []
     try:
         while ready := cb & occupied:
             i = ready.bit_length() >> 5
-            sh, lo, h, _ = tiles[i]
+            sh, lo, h, _, b, u, row = rows[i]
             if cb & h:
                 raise ExtractionStuck(
                     f"stack {_lowest_field(cb & h)} does not start with a 0 bead "
                     f"under the bottom tile of {i}")
-            u = under[i]
             u.popleft()
-            out.append(letters[i][beads[i].popleft()])
+            out.append(row[b.popleft()])
             cb += lo
             if u:
                 nxt = u[0]

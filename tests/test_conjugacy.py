@@ -14,6 +14,7 @@ from raag import (
     inverse_word,
     is_cyclically_reduced,
     kmp_first_occurrence,
+    minimal_root,
     normal_form,
     oracle_conjugate,
     parse_word,
@@ -135,6 +136,52 @@ def test_kmp_matches_str_find(text, pattern):
     got = kmp_first_occurrence(text, pattern)
     want = text.find(pattern)
     assert got == (None if want < 0 else want)
+
+
+class Counted:
+    """An item that counts its ``==`` and ``!=`` calls."""
+
+    __slots__ = ("value",)
+    __hash__ = None
+    calls = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        Counted.calls += 1
+        return self.value == other.value
+
+    def __ne__(self, other):
+        Counted.calls += 1
+        return self.value != other.value
+
+
+def comparisons(f, *args):
+    Counted.calls = 0
+    return f(*args), Counted.calls
+
+
+def test_rotation_compare_is_linear_on_the_periodic_worst_case():
+    """On a^(L-1) b, rotated by L/2 and with one item changed, the
+    rotation compare and the minimal root make at most 3 comparisons per
+    item of text and pattern (the root matches w against itself), at
+    every L.  Counted, not timed: a search that backs up, as
+    ``str.find`` does below its two-way cutoff, reads quadratic here."""
+    a, b, c = Counted("a"), Counted("b"), Counted("c")
+    for L in (1000, 2000, 4000, 8000):
+        w = (a,) * (L - 1) + (b,)
+        v = w[L // 2:] + w[:L // 2]
+        changed = v[:L // 4] + (c,) + v[L // 4 + 1:]
+        doubled = w + w[:-1]
+        for pattern, want in ((v, L // 2), (changed, None)):
+            got, calls = comparisons(kmp_first_occurrence, doubled, pattern)
+            assert got == want and calls <= 3 * (len(doubled) + L)
+            got, calls = comparisons(cyclic_equal, w, pattern)
+            assert got == want and calls <= 3 * (len(doubled) + L)
+        for word, root in ((w, (w, 1)), (changed, (changed, 1)), (w + w, (w, 2))):
+            got, calls = comparisons(minimal_root, word)
+            assert got == root and calls <= 3 * 2 * len(word)
 
 
 def test_cyclic_equal_returns_shift():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raag.core import support_components
-from raag.piling import (ZERO, Piling, _extract, _fold, _pop_bottom_tile, _pyramidalize,
-                         _top_run)
+from raag.piling import (ZERO, Piling, _extract, _fold, _layout, _pop_bottom_tile,
+                         _pyramidalize, _top_run)
 from raag import (
     ExtractionStuck,
     Letter,
@@ -517,6 +517,21 @@ def test_kernel_matches_references_on_random_graphs():
         assert sorted(events, key=lambda l: comp[l.gen]) == [l for r in refs for l in r[1]]
         # the joint cycling order is itself a conjugator from p to q
         assert pi_star(g, inverse_word(events) + sigma_star(p) + tuple(events)) == q
+
+
+def test_tile_table_holds_exact_tuples():
+    """Both kernel loops unpack a tile per letter, and CPython unpacks a
+    NamedTuple or any other tuple subclass through its slow generic path
+    (about 3x an exact tuple's cost on 3.11).  CI never runs the
+    benchmark, so this test is the only thing that catches a NamedTuple
+    coming back."""
+    rng = random.Random(5)
+    for n in (4, 64):
+        tiles = _layout(random_graph(rng, n)).tiles
+        assert len(tiles) == n + 1
+        for t in tiles:
+            assert type(t) is tuple and len(t) == 4
+            assert all(type(x) is int for x in t)
 
 
 def test_stuck_extraction_stops_at_the_blocked_tile():
