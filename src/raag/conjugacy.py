@@ -54,7 +54,7 @@ def _factor(g: DefiningGraph, p: Piling, events: list[Letter]) -> CyclicNormalFa
     if p.is_empty():
         return CyclicNormalFactors((), (), tuple(events))
     components = support_components(g, p.support())
-    pyr, cycled = pyramidalize(p)
+    pyr, cycled, _ = pyramidalize(p)
     for part in _by_component(g, components, cycled):
         events += part
     factors = tuple(map(tuple, _by_component(g, components, _drain(pyr))))

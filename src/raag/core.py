@@ -116,6 +116,10 @@ def build_graph(names: Iterable[str], commuting_pairs: Iterable[tuple[str, str]]
         raise PresentationError("duplicate generator name")
     if not names:
         raise PresentationError("at least one generator required")
+    for nm in names:
+        # a word token is a name, or a name, '^' and an exponent
+        if nm.split() != [nm] or "^" in nm:
+            raise PresentationError(f"generator name {nm!r} is empty or holds whitespace or '^'")
     idx = {nm: i + 1 for i, nm in enumerate(names)}
     n = len(names)
     # commuting[i]: the generators that commute with a_i, and a_i itself

@@ -8,19 +8,17 @@ plus a word whose letters are followed through the edge lookup table.
 A complex keeps one table: every vertex name gets an integer id, and
 each id has a letter -> next id map built straight from the edges and
 keyed by the interned letters of ``core.letter_row``.  Walks run on it;
-names appear only at the ends of ``trace`` and ``reach_by_centralizer``,
-and the name-keyed ``delta`` view is derived from it on first use.
+names appear only at the ends of ``trace`` and ``reach_by_centralizer``.
 The decider answers NO as soon as the cyclically reduced loop words
-differ in letter counts, and YES as soon as the aligned base of the
-first loop is the second loop's base, without building the centralizer.
+differ in letter counts, and YES as soon as the first loop's base,
+carried along one conjugator word, is the second loop's carried base,
+without building the centralizer.
 """
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
-from itertools import combinations
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from itertools import chain, combinations
+from typing import Iterable, NamedTuple
 
 from .core import (DefiningGraph, InputError, Letter, Word, _index_of, _read_directives,
                    _read_text, inverse_word, letter_row, parse_word)
@@ -41,8 +39,9 @@ class UntraceableWord(InputError):
 
 
 class ReplayFailure(RuntimeError):
-    """An event letter could not be traced from the current base vertex;
-    impossible for a validated complex and a genuine based loop."""
+    """A letter of a conjugator word could not be traced from the base
+    vertex carried along it; impossible for a validated complex and a
+    genuine based loop."""
 
 
 class Edge(NamedTuple):
@@ -63,8 +62,7 @@ class CubeComplexMap:
     repeats go to ``_multi_keys``.  Its keys are the interned letters of
     ``core.letter_row``, the same objects that the parser and the piling
     kernel emit, so a walk matches them by identity; a complex needs no
-    group to build them.  ``delta``, the same table keyed by
-    ``(vertex name, letter)``, is derived on first use and cached."""
+    group to build them."""
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge],
                  squares: Iterable[tuple[str, str, str, str]] | None = None):
@@ -92,14 +90,6 @@ class CubeComplexMap:
                 multi.add((e.dst, down))
             else:
                 row[down] = ks
-
-    @cached_property
-    def delta(self) -> Mapping[tuple[str, Letter], str]:
-        """Read-only (vertex, letter) -> vertex table: ``_out`` on names."""
-        names = self._names
-        return MappingProxyType({(names[k], l): names[y]
-                                 for k, row in enumerate(self._out)
-                                 for l, y in row.items()})
 
 
 class BasedWord(NamedTuple):
@@ -328,13 +318,13 @@ def _require_loop(bw: BasedWord) -> None:
         raise NotALoop(f"not a loop: based word runs {bw.base} -> {bw.end}")
 
 
-def _carry(cx: CubeComplexMap, base: str, factors: CyclicNormalFactors) -> str:
-    """The base vertex carried along the conjugator word ``events``;
-    cancellations and commutations leave the base fixed, so that word
-    is all that matters."""
-    end = trace(cx, base, factors.events)
+def _carry(cx: CubeComplexMap, base: str, word: Word) -> str:
+    """The base vertex carried along a conjugator word: each cycled
+    letter moves the base one edge, while cancellations and commutations
+    leave it fixed, so the word is all that matters."""
+    end = trace(cx, base, word)
     if end is None:
-        raise ReplayFailure(f"event letters untraceable from {base}")
+        raise ReplayFailure(f"conjugator letters untraceable from {base}")
     return end
 
 
@@ -344,7 +334,7 @@ def normalize_based(cx: CubeComplexMap, g: DefiningGraph,
     along the conjugator word ``events``."""
     _require_loop(bw)
     factors = cyclic_normal_factors(g, bw.word)
-    return _carry(cx, bw.base, factors), factors
+    return _carry(cx, bw.base, factors.events), factors
 
 
 def reach_by_centralizer(cx: CubeComplexMap, x_start: str,
@@ -381,13 +371,16 @@ def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
     loops have conjugate words, so, as in ``conjugate_in_raag``, loop
     words whose cyclically reduced pilings differ in letter counts are
     NO before anything is pyramidalized, extracted or traced: their
-    factors are never rotations of each other.  Otherwise normalize both loops
-    (carrying the base vertex along), compare the factor collections,
-    align the first loop's factors onto the second's by based cyclings,
-    then ask whether some centralizer word of the common cyclic normal
-    form traces from the first base to the second.  The empty
-    centralizer word leads from a base to itself, so when the aligned
-    base already is the second base the answer is YES without that
+    factors are never rotations of each other.  Otherwise factor both
+    loop words and find the rotation t_k that carries each factor u_k of
+    loop 1 onto loop 2's; none is NO.  Then carry each base along one
+    conjugator word, tracing it once: loop 1's is its events followed by
+    every prefix u_k[:t_k] that the rotations cycle past, the half of a
+    free-homotopy witness path that starts at base 1; loop 2's is its
+    events.  Last, ask whether some centralizer word of the common
+    cyclic normal form traces from the first carried base to the
+    second.  The empty centralizer word leads from a base to itself, so
+    when the carried bases coincide the answer is YES without that
     search.
     """
     _require_loop(bw1)
@@ -396,17 +389,11 @@ def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
     if both is None:
         return False
     f1, f2 = both
-    b1, b2 = _carry(cx, bw1.base, f1), _carry(cx, bw2.base, f2)
     rotations = _factor_rotations(f1, f2)
     if rotations is None:
         return False
-    # Align loop 1's factors onto loop 2's words; each cycled letter
-    # moves the base one edge along that factor.
-    for u, t in zip(f1.factors, rotations):
-        nxt = trace(cx, b1, u[:t])
-        if nxt is None:
-            raise ReplayFailure(f"alignment letters untraceable from {b1}")
-        b1 = nxt
+    c1 = tuple(chain(f1.events, *(u[:t] for u, t in zip(f1.factors, rotations))))
+    b1, b2 = _carry(cx, bw1.base, c1), _carry(cx, bw2.base, f2.events)
     if b1 == b2:
         return True
     return b2 in reach_by_centralizer(cx, b1, centralizer_generators(g, f2))

@@ -3,7 +3,10 @@
 Everything here works by computing closures of words (or based loops)
 under elementary rewriting moves, or by enumerating words literally,
 with explicit bounds.  None of it shares code with the piling pipeline;
-that independence is the point.
+that independence is the point.  Likewise the loop oracles read a
+complex's ``vertices`` and ``edges`` only: each call builds its own
+(vertex, letter) -> vertex table from the edges, never the complex's
+walk table.
 """
 from __future__ import annotations
 
@@ -73,17 +76,28 @@ def oracle_conjugate(g: DefiningGraph, w: Word, v: Word,
     return not cw.isdisjoint(cv)
 
 
-def _delta_trace(cx: CubeComplexMap, x: str, word: Word):
-    """End of the walk along word through ``cx.delta``, or None; kept
-    apart from the production walk on vertex ids."""
+def _edge_table(cx: CubeComplexMap) -> dict[tuple[str, Letter], str]:
+    """(vertex, letter) -> vertex, read off ``cx.edges``: an edge leads
+    from src along its label and back from dst along the inverse, and
+    the first edge wins for each key."""
+    delta: dict[tuple[str, Letter], str] = {}
+    for e in cx.edges:
+        delta.setdefault((e.src, Letter(e.label, 1)), e.dst)
+        delta.setdefault((e.dst, Letter(e.label, -1)), e.src)
+    return delta
+
+
+def _delta_trace(delta: dict, x: str, word: Word):
+    """End of the walk along word through an ``_edge_table``, or None;
+    kept apart from the production walk on vertex ids."""
     for l in word:
-        x = cx.delta.get((x, l))
+        x = delta.get((x, l))
         if x is None:
             return None
     return x
 
 
-def _loop_closure(cx, g: DefiningGraph, base: str, w: Word,
+def _loop_closure(delta: dict, g: DefiningGraph, base: str, w: Word,
                   max_states: int) -> frozenset:
     """Closure of a based loop under the four pullback-able moves:
     commutation swap, adjacent cancellation, based cycling, and
@@ -103,14 +117,14 @@ def _loop_closure(cx, g: DefiningGraph, base: str, w: Word,
             for s in _cancel_moves(word):
                 succs.append((x, s))
             if word:
-                y = cx.delta.get((x, word[0]))
+                y = delta.get((x, word[0]))
                 if y is not None:
                     succs.append((y, word[1:] + word[:1]))
             support = {l.gen for l in word}
             for l in all_letters:
                 if all(g.commutes(l.gen, s) for s in support):
-                    y = cx.delta.get((x, l))
-                    if y is not None and _delta_trace(cx, y, word) is not None:
+                    y = delta.get((x, l))
+                    if y is not None and _delta_trace(delta, y, word) is not None:
                         succs.append((y, word))
             for s in succs:
                 if s not in seen:
@@ -126,8 +140,9 @@ def oracle_groupoid_conjugate(cx, g: DefiningGraph, bw1, bw2,
                               max_states: int = 200_000) -> bool:
     """Free homotopy of based loops by intersecting their closures
     under the non-length-increasing loop moves."""
-    c1 = _loop_closure(cx, g, bw1.base, bw1.word, max_states)
-    c2 = _loop_closure(cx, g, bw2.base, bw2.word, max_states)
+    delta = _edge_table(cx)
+    c1 = _loop_closure(delta, g, bw1.base, bw1.word, max_states)
+    c2 = _loop_closure(delta, g, bw2.base, bw2.word, max_states)
     return not c1.isdisjoint(c2)
 
 
@@ -136,7 +151,7 @@ def loop_class_key(cx, g: DefiningGraph, bw, max_states: int = 200_000):
     closure.  Two loops are freely homotopic iff their keys coincide
     (the minimal-length stratum of a class is mutually reachable, so it
     is shared exactly by homotopic loops)."""
-    closure = _loop_closure(cx, g, bw.base, bw.word, max_states)
+    closure = _loop_closure(_edge_table(cx), g, bw.base, bw.word, max_states)
     return min((len(word), word, x) for x, word in closure)
 
 
@@ -147,6 +162,7 @@ def reach_by_preferred_enumeration(cx: CubeComplexMap, x_start: str,
     bounded.  Cross-check oracle for the reachability fixpoint."""
     roots = [z for z, _r in gens.roots]
     link_letters = [Letter(l, s) for l in sorted(gens.link_gens) for s in (1, -1)]
+    delta = _edge_table(cx)
     results: set[str] = set()
 
     def tail(x: str, budget: int, seen: set):
@@ -163,7 +179,7 @@ def reach_by_preferred_enumeration(cx: CubeComplexMap, x_start: str,
             if budget == 0:
                 continue
             for l in link_letters:
-                y = cx.delta.get((x, l))
+                y = delta.get((x, l))
                 if y is not None:
                     stack.append((y, budget - 1))
 
@@ -178,7 +194,7 @@ def reach_by_preferred_enumeration(cx: CubeComplexMap, x_start: str,
                 blocks(i + 1, y, budget - spent)
                 if spent == budget:
                     break
-                y = _delta_trace(cx, y, zword)
+                y = _delta_trace(delta, y, zword)
                 if y is None:
                     break
                 spent += 1

@@ -416,20 +416,23 @@ def cyclic_reduce(p: Piling) -> tuple[Piling, list[Letter]]:
     return q, events
 
 
-def _pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
-    """Returns (pyramidal piling, cycled letters, number of passes).
+def pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
+    """Cycle 0-factor tiles bottom-to-top until each component of the
+    support graph is pyramidal over its own apex, its least index.
+    Returns the pyramidal piling, the cycled letters in the order cycled
+    (a conjugator from p to the result) and the number of passes.
 
-    Each pass moves the 0-factors of all components of the support
-    graph from the bottom to the top in place: one extraction that skips
-    every component's apex (its least index).  Components never compete
-    for a stack: a support stack holds beads of its own component's
-    tiles only, and a stack outside the support holds only 0 beads,
-    which block no tile.  So the pass removes each component's 0-factor
-    in that component's own order, interleaved with the others.
-    Cycling a tile never cancels in a cyclically reduced piling, so this
-    equals cycling the 0-factors' tiles one at a time.  The passes
-    number at most the largest apex eccentricity, which is below n;
-    a pass beyond n raises PilingError instead of looping on."""
+    Each pass moves the 0-factors of all components from the bottom to
+    the top in place: one extraction that skips every component's apex.
+    Components never compete for a stack: a support stack holds beads of
+    its own component's tiles only, and a stack outside the support
+    holds only 0 beads, which block no tile.  So the pass removes each
+    component's 0-factor in that component's own order, interleaved
+    with the others.  Cycling a tile never cancels in a cyclically
+    reduced piling, so this equals cycling the 0-factors' tiles one at a
+    time.  The passes number at most the largest eccentricity of an apex
+    in its component, which is below n; a pass beyond n raises
+    PilingError instead of looping on."""
     if p.is_empty():
         raise EmptyPiling("cannot pyramidalize the empty piling")
     if not is_cyclically_reduced(p):
@@ -447,14 +450,3 @@ def _pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
             raise PilingError(f"pyramidalize did not settle within {q.graph.n} passes")
         _fold(q, letters)
         events += letters
-
-
-def pyramidalize(p: Piling) -> tuple[Piling, list[Letter]]:
-    """Cycle 0-factor tiles bottom-to-top until each component of the
-    support graph is pyramidal over its own apex, its least index; also
-    returns the cycled letters in the order cycled, a conjugator from p
-    to the result.  The components are cycled together, so the number
-    of passes is the largest of their bounds: the eccentricity of each
-    apex in its component, at most the number of generators."""
-    q, events, _ = _pyramidalize(p)
-    return q, events

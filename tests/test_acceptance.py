@@ -33,12 +33,15 @@ from raag import (
     parse_complex,
     parse_word,
     pi_star,
+    pyramidalize,
     reach_by_centralizer,
     sigma_star,
     validate,
 )
 from raag.core import support_components
-from raag.piling import _pyramidalize, cyclic_reduce
+from raag.cubecomplex import trace
+from raag.oracle import _edge_table
+from raag.piling import cyclic_reduce
 from .conftest import is_cyclic_normal, random_equivalent_rewrite, random_reduced_word, random_word
 
 EXAMPLE_WORD = "a2^-2 a4^-1 a3 a2 a4 a1 a2 a1^-1 a2^2 a4^-1"
@@ -154,11 +157,14 @@ def acceptance_complexes():
     return [(g1, cx1), (g2, cx2), (g3, cx3)]
 
 
-def letters_at(cx, x):
-    return [l for (v, l) in cx.delta if v == x]
+def letters_at(delta, x):
+    return [l for (v, l) in delta if v == x]
 
 
 def enumerate_loops(cx, g, max_len):
+    """Every based loop of at most max_len letters, walked through the
+    oracle's table read off the edges."""
+    delta = _edge_table(cx)
     loops = []
     for base in cx.vertices:
         stack = [(base, ())]
@@ -168,8 +174,8 @@ def enumerate_loops(cx, g, max_len):
                 loops.append(based_word(cx, base, w))
             if len(w) == max_len:
                 continue
-            for l in letters_at(cx, x):
-                stack.append((cx.delta[(x, l)], w + (l,)))
+            for l in letters_at(delta, x):
+                stack.append((delta[(x, l)], w + (l,)))
     return loops
 
 
@@ -181,9 +187,7 @@ def main_loop_key(cx, g, bw):
     canon = []
     for u in factors.factors:
         m = min(u[i:] + u[:i] for i in range(len(u)))
-        t = cyclic_equal(u, m)
-        for l in u[:t]:
-            base = cx.delta[(base, l)]
+        base = trace(cx, base, u[:cyclic_equal(u, m)])
         canon.append(m)
     canon_factors = CyclicNormalFactors(tuple(canon), factors.components, ())
     gens = centralizer_generators(g, canon_factors)
@@ -267,7 +271,7 @@ def test_acceptance_08_pyramidalize_iteration_bound():
         components = support_components(g, {l.gen for l in sigma_star(p)})
         if len(components) != 1:
             continue
-        q, _, passes = _pyramidalize(p)
+        q, _, passes = pyramidalize(p)
         assert passes <= eccentricity(g, components[0], min(p.support()))
         done += 1
     dt = time.perf_counter() - t0

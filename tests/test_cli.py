@@ -212,6 +212,14 @@ def test_bad_presentation_exits_2(capsys, tmp_path):
     assert "a7" in err
 
 
+def test_unspellable_generator_name_exits_2(capsys, tmp_path):
+    p = tmp_path / "bad.group"
+    p.write_text("gens a b^c\n")
+    code, out, err = run(capsys, "normal-form", "-g", str(p), "--no-timing", "-w", "a")
+    assert (code, out) == (2, "")
+    assert "bad.group" in err and "'b^c'" in err
+
+
 def test_non_utf8_group_file_exits_2(capsys, tmp_path):
     p = tmp_path / "bad.group"
     p.write_bytes(b"gens a1 a2\xff\n")

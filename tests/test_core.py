@@ -37,6 +37,19 @@ def test_build_graph_rejects_bad_input():
         build_graph(("a", "b"), [("a", "a")])
 
 
+def test_build_graph_rejects_names_no_word_can_spell():
+    """A word token is a name or ``name^k``: a name that is empty or
+    holds whitespace or '^' could not be read back from a word."""
+    for bad in ("", " ", "b c", "b\tc", "b\n", "b^c", "^"):
+        with pytest.raises(PresentationError, match="generator name"):
+            build_graph(("a", bad), [])
+    with pytest.raises(PresentationError, match=r"<string>: generator name 'b\^c'"):
+        parse_presentation("gens a b^c\n")
+    g = build_graph(("a", "b#", "c_1", "é"), [])
+    w = parse_word(g, "a b#^2 c_1^-1 é")
+    assert parse_word(g, format_word(g, w)) == w
+
+
 def test_index_and_name_roundtrip(example_graph):
     g = example_graph
     for i in range(1, g.n + 1):

@@ -197,7 +197,7 @@ def based_cycle(cx, bw):
         raise NotALoop(f"based word runs {bw.base} -> {bw.end}")
     if not bw.word:
         raise NotALoop("cannot cycle an empty loop word")
-    nb = cx.delta.get((bw.base, bw.word[0]))
+    nb = trace(cx, bw.base, bw.word[:1])
     if nb is None:
         raise UntraceableWord(f"letter {bw.word[0]} does not trace from {bw.base}")
     return BasedWord(nb, bw.word[1:] + bw.word[:1], nb)
@@ -300,24 +300,25 @@ def test_preferred_enumeration_runs_past_the_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
-def delta_trace(cx, x, w):
-    """Reference walk through the public ``delta`` table."""
+def delta_trace(delta, x, w):
+    """Reference walk through an ``eager_delta`` table."""
     for l in w:
-        x = cx.delta.get((x, l))
+        x = delta.get((x, l))
         if x is None:
             return None
     return x
 
 
-def delta_reach(cx, x_start, gens):
-    """Reference fixpoint of the centralizer moves on vertex names."""
+def delta_reach(delta, x_start, gens):
+    """Reference fixpoint of the centralizer moves on vertex names,
+    through an ``eager_delta`` table."""
     moves = [m for z, _r in gens.roots for m in (z, inverse_word(z))]
     moves += [(Letter(l, s),) for l in sorted(gens.link_gens) for s in (1, -1)]
     visited, frontier = {x_start}, [x_start]
     while frontier:
         x = frontier.pop()
         for mv in moves:
-            y = delta_trace(cx, x, mv)
+            y = delta_trace(delta, x, mv)
             if y is not None and y not in visited:
                 visited.add(y)
                 frontier.append(y)
@@ -393,9 +394,9 @@ def random_squares(g, vertices, edges, rng):
 
 
 def eager_delta(cx):
-    """The (vertex, letter) -> vertex table built the way ``delta`` was
-    built before the walk table: first edge wins, fresh letters as keys;
-    also the keys that more than one edge realizes."""
+    """The (vertex, letter) -> vertex table built from the edges alone:
+    first edge wins, fresh letters as keys; also the keys that more than
+    one edge realizes."""
     delta, multi = {}, set()
     for e in cx.edges:
         for key, dest in (((e.src, Letter(e.label, 1)), e.dst),
@@ -501,10 +502,17 @@ def reference_validate(cx, g):
                             convexity_checked, convexity_ok, problems)
 
 
+def named_walk_table(cx):
+    """``cx._out`` keyed by (vertex name, letter), values by name."""
+    names = cx._names
+    return {(names[k], l): names[y] for k, row in enumerate(cx._out) for l, y in row.items()}
+
+
 def test_validate_matches_reference_by_pairs():
     """Counted convexity gives the per-pair reports, problems in the
-    same order, on random complexes broken in every way; and ``delta``
-    is the eager table, with interned letters as keys."""
+    same order, on random complexes broken in every way; and the walk
+    table, read by vertex name, is the eager table, with interned
+    letters as keys."""
     rng = random.Random(2024)
     seen = set()
     for _ in range(2000):
@@ -514,11 +522,12 @@ def test_validate_matches_reference_by_pairs():
         assert report.summary() == ref.summary()
         seen.add((report.convexity_ok, report.squares_ok))
         delta, multi = eager_delta(cx)
-        assert cx.delta == delta
+        by_name = named_walk_table(cx)
+        assert by_name == delta
         assert cx._multi_keys == multi
         for x in cx.vertices:
-            assert [l for (v, l) in cx.delta if v == x] == [l for (v, l) in delta if v == x]
-        assert all(l is letter_row(l.gen)[l.sign] for (_v, l) in cx.delta)
+            assert [l for (v, l) in by_name if v == x] == [l for (v, l) in delta if v == x]
+        assert all(l is letter_row(l.gen)[l.sign] for row in cx._out for l in row)
     # every outcome of the convexity and square checks occurs
     assert seen >= {(None, True), (None, False), (True, True), (True, False),
                     (False, True), (False, False)}
@@ -562,24 +571,23 @@ def test_walk_table_keys_are_interned(example_graph):
     g = example_graph
     assert letter_table(4)[1][1] is letter_table(64)[1][1]
     cx = abelian_cover(g, 3, 4, [(1, 0), (0, 1), (2, 1), (1, 3)])
-    assert len(cx.delta) == 2 * len(cx.edges)
-    assert all(l is letter_table(g.n)[l.gen][l.sign] for (_v, l) in cx.delta)
-    with pytest.raises(TypeError):
-        cx.delta[("v0", letter_table(g.n)[1][1])] = "v0"
+    assert sum(map(len, cx._out)) == 2 * len(cx.edges)
+    assert all(l is letter_table(g.n)[l.gen][l.sign] for row in cx._out for l in row)
 
 
 def test_trace_and_reach_match_delta_walk():
     rng = random.Random(606)
     for _ in range(400):
         g, cx, starts = random_partial_complex(rng)
+        delta, _multi = eager_delta(cx)
         for x in starts:
             for w in [()] + [random_word(g, rng.randrange(1, 9), rng) for _ in range(6)]:
-                assert trace(cx, x, w) == delta_trace(cx, x, w)
+                assert trace(cx, x, w) == delta_trace(delta, x, w)
             roots = tuple((random_word(g, rng.randrange(1, 4), rng), 1)
                           for _ in range(rng.randrange(0, 3)))
             link = frozenset(j for j in range(1, g.n + 1) if rng.random() < 0.3)
             gens = CentralizerGens(roots, link)
-            assert reach_by_centralizer(cx, x, gens) == delta_reach(cx, x, gens)
+            assert reach_by_centralizer(cx, x, gens) == delta_reach(delta, x, gens)
 
 
 def test_aligned_base_answers_yes_without_centralizer(monkeypatch):

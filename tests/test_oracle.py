@@ -6,7 +6,9 @@ from raag import (
     BoundExceeded,
     based_word,
     build_graph,
+    centralizer_generators,
     conjugate_in_raag,
+    cyclic_normal_factors,
     groupoid_conjugate,
     loop_class_key,
     oracle_conjugate,
@@ -15,17 +17,22 @@ from raag import (
     parse_complex,
     parse_word,
     pi_star,
+    reach_by_preferred_enumeration,
+    validate,
 )
+from raag.core import letter_row
+from raag.cubecomplex import trace
 from .conftest import random_word
 
 FREE2 = build_graph(("a1", "a2"), [])
 
-TRAP = parse_complex("""
+TRAP_TEXT = """
 vertices x1 x2
 edge e1 x1 x1 a1
 edge e2 x1 x2 a2
 edge e3 x2 x2 a1
-""", FREE2)
+"""
+TRAP = parse_complex(TRAP_TEXT, FREE2)
 
 
 def test_oracle_equal_basic(example_graph):
@@ -82,7 +89,6 @@ def test_oracle_groupoid_agrees_with_decider():
     for x in TRAP.vertices:
         for _ in range(40):
             w = random_word(FREE2, rng.randrange(0, 5), rng)
-            from raag.cubecomplex import trace
             if trace(TRAP, x, w) == x:
                 loops.append(based_word(TRAP, x, w))
     assert loops
@@ -95,7 +101,6 @@ def test_oracle_groupoid_agrees_with_decider():
 
 def test_loop_class_key_matches_oracle():
     rng = random.Random(29)
-    from raag.cubecomplex import trace
     loops = []
     for x in TRAP.vertices:
         for _ in range(30):
@@ -107,3 +112,28 @@ def test_loop_class_key_matches_oracle():
         for j in range(0, len(loops), 4):
             same = keys[i] == keys[j]
             assert same == oracle_groupoid_conjugate(TRAP, FREE2, loops[i], loops[j])
+
+
+def test_loop_oracles_read_the_edges_not_the_walk_table():
+    """Corrupt one entry of a validated complex's walk table: ``trace``
+    follows it, and the loop oracles answer as on an intact copy,
+    because they read the complex's edges only."""
+    intact, broken = parse_complex(TRAP_TEXT, FREE2), parse_complex(TRAP_TEXT, FREE2)
+    assert validate(broken, FREE2).ok
+    a2 = letter_row(2)[1]
+    x1 = broken._ids["x1"]
+    broken._out[x1][a2] = x1  # a2 now loops at x1 instead of leading to x2
+    assert trace(broken, "x1", (a2,)) == "x1"
+    assert trace(intact, "x1", (a2,)) == "x2"
+    loops = [based_word(intact, x, parse_word(FREE2, text))
+             for x, text in (("x1", "a1"), ("x1", "a2 a1 a2^-1"), ("x2", "a1"),
+                             ("x1", "a2 a1 a1 a2^-1"), ("x2", "a2^-1 a1 a2"))]
+    for bw in loops:
+        assert loop_class_key(broken, FREE2, bw) == loop_class_key(intact, FREE2, bw)
+        for other in loops:
+            assert (oracle_groupoid_conjugate(broken, FREE2, bw, other)
+                    == oracle_groupoid_conjugate(intact, FREE2, bw, other))
+        gens = centralizer_generators(FREE2, cyclic_normal_factors(FREE2, bw.word))
+        for x in intact.vertices:
+            assert (reach_by_preferred_enumeration(broken, x, gens, 4)
+                    == reach_by_preferred_enumeration(intact, x, gens, 4))

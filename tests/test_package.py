@@ -74,6 +74,27 @@ def test_every_export_is_used_or_documented():
     assert unused == []
 
 
+def test_every_import_is_used():
+    """Each name that a module of ``src/raag`` imports, ``__future__``
+    aside, is used in that module.  The check reads the syntax tree with
+    ``ast`` alone, so it needs no linter."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
 def test_input_errors_share_one_type():
     """Every error the input causes is one ``InputError``; internal faults
     are not, and ``BoundExceeded`` stays a ``RuntimeError``."""

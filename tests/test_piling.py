@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raag.core import support_components
-from raag.piling import (ZERO, Piling, _extract, _fold, _layout, _pop_bottom_tile,
-                         _pyramidalize, _top_run)
+from raag.piling import ZERO, Piling, _extract, _fold, _layout, _pop_bottom_tile, _top_run
 from raag import (
     ExtractionStuck,
     Letter,
@@ -296,7 +295,7 @@ def test_is_pyramidal(example_graph):
 def test_pyramidalize_example(example_graph):
     g = example_graph
     p, _ = cyclic_reduce(pi_star(g, parse_word(g, EXAMPLE_WORD)))
-    q, events, passes = _pyramidalize(p)
+    q, events, passes = pyramidalize(p)
     assert is_pyramidal(q)
     assert sigma_star(q) == parse_word(g, "a1 a2 a1^-1 a3 a4^-1 a2")
     assert events == list(parse_word(g, "a4^-1 a3 a4^-1"))
@@ -327,7 +326,7 @@ def test_pyramidalize_rejects_bad_input(example_graph):
         pyramidalize(pi_star(g, parse_word(g, "a1 a2 a1^-1")))
     # a1 and a4 commute: two components, each pyramidal over its own apex
     p = pi_star(g, parse_word(g, "a1 a4"))
-    q, events = pyramidalize(p)
+    q, events, _ = pyramidalize(p)
     assert q == p and events == []
     assert [i for i in range(1, 5) if starts_signed(q, i)] == [1, 4]
 
@@ -343,7 +342,7 @@ def test_pyramidalize_random_bound(example_graph):
             continue
         if len(support_components_of(g, sigma_star(p))) != 1:
             continue
-        q, _, passes = _pyramidalize(p)
+        q, _, passes = pyramidalize(p)
         assert is_pyramidal(q)
         assert passes <= g.n
         done += 1
@@ -352,7 +351,7 @@ def test_pyramidalize_random_bound(example_graph):
 def test_pyramidalize_preserves_conjugacy_class(example_graph):
     g = example_graph
     p, _ = cyclic_reduce(pi_star(g, parse_word(g, EXAMPLE_WORD)))
-    q, events = pyramidalize(p)
+    q, events, _ = pyramidalize(p)
     # cycling letter y sends w to y^-1 w y, so the product of the cycled
     # letters is a conjugating element from the input to the output
     w = sigma_star(p)
@@ -364,7 +363,7 @@ def test_path_graph_pyramidalize_terminates():
     # beads; this is the shape that defeats naive one-tile-at-a-time passes
     g = build_graph(("a1", "a2", "a3"), [("a1", "a3")])
     p = pi_star(g, parse_word(g, "a3 a2 a1"))
-    q, _, passes = _pyramidalize(p)
+    q, _, passes = pyramidalize(p)
     assert is_pyramidal(q)
     assert passes <= 3
 
@@ -377,7 +376,7 @@ def test_pyramidalize_counts_are_linear(example_graph):
     for m in (500, 1000, 2000):
         p, reductions = cyclic_reduce(pi_star(g, parse_word(g, "a3 a4 " * m + "a1")))
         assert len(support_components_of(g, sigma_star(p))) == 1
-        _, events, passes = _pyramidalize(p)
+        _, events, passes = pyramidalize(p)
         counts.add((len(reductions), passes, len(events) - 2 * m))
         # the letters are interned: one object per letter, not per tile
         assert len(set(map(id, events))) == 2
@@ -508,7 +507,7 @@ def test_kernel_matches_references_on_random_graphs():
         if p.is_empty():
             continue
         # the joint passes against one reference run per component
-        q, events, passes = _pyramidalize(p)
+        q, events, passes = pyramidalize(p)
         refs = [pyramidalize_tile_by_tile(part) for part in split_by_refolding(p)]
         assert q == pi_star(g, tuple(l for r in refs for l in sigma_star(r[0])))
         assert passes == max(r[2] for r in refs)
