@@ -25,24 +25,36 @@ beads out on demand for display and tests; ``Piling.from_stacks`` builds
 a piling from such a spelling.
 
 All public operations are pure: they copy their input piling and
-return fresh values.  They are built from a private kernel of three
-in-place operations: the push rule (``_fold``), removal of one bottom
-tile (``_pop_bottom_tile``) and the largest-index extraction loop
-(``_extract``), which skips a given set of stacks.  ``_drain`` is
+return fresh values.  They are built from a private kernel of the push
+rule (``_fold``) and two loops on one packed *bottom field*: the
+largest-index extraction loop (``_extract``), which skips a given set of
+stacks, and the pair loop of ``cyclic_reduce``.  ``_drain`` is
 ``sigma_star`` without the copy, for callers that own a fresh piling.
 
 A tile can be removed from the bottom exactly when its stack starts
 with a signed bead (in a valid piling its non-commuting neighbours then
-start with 0 beads).  ``_extract`` packs the bottom 0 runs of all stacks
-into one int once per call, each field holding 2^31 *minus* its run, so
-a field's guard bit is set exactly when its stack starts with a signed
-bead.  The ready stacks are then that int ANDed with the guard bits of
-the stacks that hold a signed bead, and the next letter is the highest
-set bit.  Removing a tile adds ``low`` once: each neighbour's run drops
-by one, and one that falls to 0 carries into its guard bit and is ready
-with no further work.  Extraction therefore costs a handful of int
-operations per letter after an O(n) start, and emits the interned
-letters of ``core.letter_table``.
+start with 0 beads).  The bottom field packs the bottom 0 runs of all
+stacks into one int, each field holding 2^31 *minus* its run; an empty
+stack's single run is its bottom run.  ``_bottoms`` builds it in O(n)
+once per call and ``_set_bottoms`` writes it back.  A field's guard bit
+is set exactly when its stack starts with a signed bead, and removing a
+tile adds ``low`` once: each neighbour's run drops by one, and one that
+falls to 0 carries into its guard bit with no further work.  In
+``_extract`` the ready stacks are the bottom field ANDed with the guard
+bits of the stacks that hold a signed bead, and the next letter is the
+highest set bit.  Extraction therefore costs a handful of int operations
+per letter after an O(n) start, and emits the interned letters of
+``core.letter_table``.
+
+``cyclic_reduce`` keeps the bottom field ``cb`` beside a copy ``top`` of
+``_top``.  A stack wraps, starting with a signed bead and ending with
+the opposite one, when its guard bit in ``cb`` is set, its top run is
+0, and its first and last signed beads differ.  With ``opp`` the guard
+bits of the stacks whose end beads differ and ``ones`` the low bit of
+every field, the wrap mask is ``cb & opp & ~(top - ones)``.  Removing a
+wrapping pair is one add to ``cb`` and one subtract from ``top``: each
+neighbour loses a 0 bead at both ends, an empty neighbour two beads of
+its single run.  Only the fields of the pair's own stack are rewritten.
 
 The kernel loops unpack only exact tuples: ``_Layout.tiles`` holds
 plain 4-tuples, and ``_extract`` joins each stack's masks, deques and
@@ -226,10 +238,7 @@ def _fold(p: Piling, w: Word) -> None:
     if a 0 run could pass 2^31-1 beads.
 
     Each letter unpacks its exact 4-tuple from ``_Layout.tiles`` (see the
-    module docstring).  The set-up per call stays O(1), with no per-stack
-    rows as in ``_extract``: ``cyclic_reduce`` folds one letter per call,
-    and building rows here made c.u.c^-1 with |c| = |u| = 5,000, about
-    5,000 such calls, 62% and 94% slower at 16 and 64 generators."""
+    module docstring)."""
     lay = p._lay
     top = p._top
     if len(w) >> 30 or top & lay.half:
@@ -264,26 +273,27 @@ def _fold(p: Piling, w: Word) -> None:
         p._top = top
 
 
-def _pop_bottom_tile(p: Piling, i: int) -> int:
-    """Remove the bottom a_i-tile in place, whose stack must start with a
-    signed bead, and return its sign.  Raises ExtractionStuck if a
-    neighbour has no 0 bead at the bottom; the piling is then left
-    partly popped."""
-    under, top = p._under, p._top
-    try:
-        for j in p.graph.noncommute[i]:
-            u = under[j]
-            if u and u[0]:
-                u[0] -= 1
-            elif not u and top >> _shift(j) & _RUN:
-                top -= 1 << _shift(j)
-            else:
-                raise ExtractionStuck(
-                    f"stack {j} does not start with a 0 bead under the bottom tile of {i}")
-    finally:
-        p._top = top
-    under[i].popleft()
-    return p._beads[i].popleft()
+def _bottoms(p: Piling) -> int:
+    """The bottom field of p: field j holds 2^31 minus the bottom 0 run
+    of stack j, a value from 1 to 2^31, so no field borrows or carries
+    (see the module docstring)."""
+    lay = p._lay
+    return _pack(lay, [_GUARD - (u[0] if u else t & _RUN)
+                       for u, t in zip(p._under, _unpack(lay, p._top))])
+
+
+def _set_bottoms(p: Piling, cb: int, top: int) -> None:
+    """Write the bottom field cb and the top field top back into p: a
+    stack that holds a signed bead takes its bottom run from cb into its
+    run deque, an empty stack its single run into ``_top``."""
+    lay = p._lay
+    tops = _unpack(lay, top)
+    for j, (u, f) in enumerate(zip(p._under, _unpack(lay, cb))):
+        if u:
+            u[0] = _GUARD - f
+        else:
+            tops[j] = _GUARD | _GUARD - f
+    p._top = _pack(lay, tops)
 
 
 def _extract(p: Piling, exclude: Collection[int] = ()) -> list[Letter]:
@@ -293,34 +303,22 @@ def _extract(p: Piling, exclude: Collection[int] = ()) -> list[Letter]:
     ExtractionStuck, with the offending tile not removed, if a neighbour
     of that tile has no 0 bead at the bottom.
 
-    Works on one int ``cb`` whose field j holds 2^31 minus the bottom 0
-    run of stack j: a value from 1 to 2^31, so no field borrows or
-    carries, with the guard bit set exactly when the run is 0.  An
-    a_i-tile is stuck when ``cb & high`` is not 0; removing it is
-    ``cb += low``, and then stack i's next bottom run (under its next
-    signed bead, or its top run once it is empty) is subtracted from its
-    field.  The runs go back to the deques and to ``_top`` on the way
-    out, also when the extraction gets stuck.
+    Works on the bottom field ``cb``, whose guard bit of field j is set
+    exactly when stack j starts with a signed bead.  An a_i-tile is
+    stuck when ``cb & high`` is not 0; removing it is ``cb += low``, and
+    then stack i's next bottom run (under its next signed bead, or its
+    top run once it is empty) is subtracted from its field.  The runs go
+    back to the deques and to ``_top`` on the way out, also when the
+    extraction gets stuck.
 
     An O(n) start joins each stack's tile masks, bead and run deques and
     letter row into one exact tuple, so each letter finds all it needs
     in one fast unpack (see the module docstring)."""
-    n = p.graph.n
-    lay = p._lay
-    beads, under, tiles = p._beads, p._under, lay.tiles
-    letters = letter_table(n)
-    tops = _unpack(lay, p._top)
-    fields = [0] * (n + 1)
+    beads, under, tiles = p._beads, p._under, p._lay.tiles
+    letters = letter_table(p.graph.n)
+    cb = _bottoms(p)
     # guard bits of the stacks outside ``exclude`` that hold a signed bead
-    occupied = 0
-    for j in range(1, n + 1):
-        if beads[j]:
-            fields[j] = _GUARD - under[j][0]
-            if j not in exclude:
-                occupied |= _GUARD << tiles[j][0]
-        else:
-            fields[j] = _GUARD - (tops[j] & _RUN)
-    cb = _pack(lay, fields)
+    occupied = sum(_GUARD << t[0] for j, t in enumerate(tiles) if beads[j] and j not in exclude)
     # per stack: (shift, low, high, keep, beads, under, letter row)
     rows = list(map(tuple.__add__, tiles, zip(beads, under, letters)))
     out: list[Letter] = []
@@ -339,17 +337,11 @@ def _extract(p: Piling, exclude: Collection[int] = ()) -> list[Letter]:
                 nxt = u[0]
             else:
                 occupied ^= _GUARD << sh
-                nxt = tops[i] & _RUN
+                nxt = p._top >> sh & _RUN
             if nxt:
                 cb -= nxt << sh
     finally:
-        fields = _unpack(lay, cb)
-        for j in range(1, n + 1):
-            if beads[j]:
-                under[j][0] = _GUARD - fields[j]
-            else:
-                tops[j] = _GUARD | _GUARD - fields[j]
-        p._top = _pack(lay, tops)
+        _set_bottoms(p, cb, p._top)
     return out
 
 
@@ -378,12 +370,6 @@ def sigma_star(p: Piling) -> Word:
     return _drain(p.copy())
 
 
-def _wraps(p: Piling, i: int) -> bool:
-    """Stack i starts with a signed bead and ends with the opposite one."""
-    s = p._beads[i]
-    return bool(s) and not p._under[i][0] and not _top_run(p, i) and s[-1] == -s[0]
-
-
 def _letter_counts(p: Piling) -> tuple[tuple[int, int], ...]:
     """Per stack, the number of signed beads and of + beads among them:
     how often the piling's tiles use a_i and a_i^-1.  O(n) calls; the
@@ -392,27 +378,64 @@ def _letter_counts(p: Piling) -> tuple[tuple[int, int], ...]:
 
 
 def is_cyclically_reduced(p: Piling) -> bool:
-    return not any(_wraps(p, i) for i in range(1, p.graph.n + 1))
+    """No stack starts with a signed bead and ends with the opposite one."""
+    return not any(s and not u[0] and not _top_run(p, i) and s[-1] == -s[0]
+                   for i, (s, u) in enumerate(zip(p._beads, p._under)))
 
 
 def cyclic_reduce(p: Piling) -> tuple[Piling, list[Letter]]:
-    """Remove matching top/bottom tile pairs of opposite signs until no
-    stack starts with one sign and ends with the other.  Also returns
-    the bottom letter of each removed pair: a reduction is a cycling
-    followed by a cancellation, so it moves a base vertex the same way."""
+    """Remove matching bottom/top tile pairs of opposite signs until no
+    stack starts with one sign and ends with the other.  Returns the
+    cyclically reduced piling and the bottom letter of each removed
+    pair, in the order removed: a reduction is a cycling followed by a
+    cancellation, so these letters conjugate p to the result and move a
+    base vertex the same way.  The pairs go highest stack first, so
+    ``events`` may list commuting letters in another order than earlier
+    versions, which swept the stacks from 1 to n, did; it is the same
+    element with the same letters.  Raises
+    ExtractionStuck or PilingError, leaving p unchanged, if a neighbour
+    of a pair lacks the 0 bead at the bottom or top that the pair needs.
+
+    One loop on the bottom field ``cb`` and a copy ``top`` of ``_top``
+    (see the module docstring): the highest stack in the wrap mask loses
+    its pair, every neighbour's fields move by one add or subtract, and
+    only that stack's own fields and ``opp`` bit are rewritten."""
     q = p.copy()
+    beads, under, tiles = q._beads, q._under, q._lay.tiles
     letters = letter_table(q.graph.n)
+    ones = q._lay.empty >> 31
+    cb, top = _bottoms(q), q._top
+    # the guard bits of the stacks whose end beads differ; the low bits of the empty stacks
+    opp = sum(_GUARD << t[0] for t, s in zip(tiles[1:], beads[1:]) if s and s[0] != s[-1])
+    elow = sum(1 << t[0] for t, s in zip(tiles[1:], beads[1:]) if not s)
     events: list[Letter] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, q.graph.n + 1):
-            while _wraps(q, i):
-                # cycle the bottom tile to the top, where it cancels
-                l = letters[i][_pop_bottom_tile(q, i)]
-                _fold(q, (l,))
-                events.append(l)
-                changed = True
+    while wrap := cb & opp & ~(top - ones):
+        i = wrap.bit_length() >> 5
+        sh, lo, h, _ = tiles[i]
+        if cb & h:
+            raise ExtractionStuck(
+                f"stack {_lowest_field(cb & h)} does not start with a 0 bead "
+                f"under the bottom tile of {i}")
+        # an empty neighbour's single run loses a bead at both ends
+        d = lo + (lo & elow)
+        top -= d
+        if top & h != h:
+            raise PilingError(
+                f"stack {_lowest_field(h & ~top)} does not end with a 0 bead "
+                f"over the top tile of {i}")
+        b, u = beads[i], under[i]
+        events.append(letters[i][b.popleft()])
+        b.pop()
+        u.popleft()
+        run = u.pop()
+        top |= run << sh
+        if not u:
+            elow |= 1 << sh
+        if not b or b[0] == b[-1]:
+            opp ^= _GUARD << sh
+        # stack i's new bottom run: under its next signed bead, or its one run
+        cb += d - ((u[0] if u else run) << sh)
+    _set_bottoms(q, cb, top)
     return q, events
 
 

@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+import raag.conjugacy
 import raag.piling
 from raag import (
     CyclicNormalFactors,
@@ -336,22 +337,24 @@ def test_acceptance_10_linearity():
 def count_kernel_letters(monkeypatch) -> Counter:
     """Wrap the piling kernel so that the returned counter holds, per
     kernel function, the letters that passed through it: folded,
-    extracted, or popped from the bottom."""
+    extracted, or removed by cyclic reduction, two per removed pair (its
+    bottom and its top letter)."""
     traffic = Counter()
 
-    def count(name, letters):
-        real = getattr(raag.piling, name)
+    def count(module, name, letters):
+        real = getattr(module, name)
 
         def wrapper(*args):
             out = real(*args)
             traffic[name] += letters(args, out)
             return out
 
-        monkeypatch.setattr(raag.piling, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    count("_fold", lambda args, out: len(args[1]))
-    count("_extract", lambda args, out: len(out))
-    count("_pop_bottom_tile", lambda args, out: 1)
+    count(raag.piling, "_fold", lambda args, out: len(args[1]))
+    count(raag.piling, "_extract", lambda args, out: len(out))
+    # wrapped where the deciders look it up
+    count(raag.conjugacy, "cyclic_reduce", lambda args, out: 2 * len(out[1]))
     return traffic
 
 
@@ -363,7 +366,7 @@ def path_graph():
 
 def test_acceptance_10_kernel_traffic_is_linear(monkeypatch):
     """The clock-free side of the check above: the letters that pass
-    through the piling kernel (folded, extracted, popped from the bottom)
+    through the piling kernel (folded, extracted, cyclically reduced)
     in one conjugacy decision double with the input, on random reduced
     words and on the path-graph family that cycles nearly every tile."""
     traffic = count_kernel_letters(monkeypatch)

@@ -95,6 +95,20 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_piling_kernel_reads_no_neighbour_sets():
+    """The piling kernel works on packed fields: in ``piling.py`` only
+    ``_layout``, which builds the field masks, reads a graph's
+    ``noncommute`` sets, so no kernel loop steps through a tile's
+    neighbours in Python.  The check reads the syntax tree with ``ast``
+    alone."""
+    tree = ast.parse((SRC / "piling.py").read_text(encoding="utf-8"))
+    readers = sorted({f.name for f in ast.walk(tree)
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      for node in ast.walk(f)
+                      if isinstance(node, ast.Attribute) and node.attr == "noncommute"})
+    assert readers == ["_layout"]
+
+
 def test_input_errors_share_one_type():
     """Every error the input causes is one ``InputError``; internal faults
     are not, and ``BoundExceeded`` stays a ``RuntimeError``."""

@@ -1,11 +1,12 @@
 import random
+import sys
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from raag.core import support_components
-from raag.piling import ZERO, Piling, _extract, _fold, _layout, _pop_bottom_tile, _top_run
+from raag.piling import ZERO, Piling, _extract, _fold, _layout, _top_run
 from raag import (
     ExtractionStuck,
     Letter,
@@ -48,9 +49,19 @@ def support_components_of(g, w):
 
 def cycle_bottom(p, i):
     """Move the bottom a_i-tile of a copy of p to the top of its stacks;
-    also returns its letter."""
-    q = p.copy()
-    l = Letter(i, _pop_bottom_tile(q, i))
+    also returns its letter.  The tile leaves the spelled-out stacks and
+    is pushed back on top by the push rule.  Raises ExtractionStuck if
+    stack i does not start with a signed bead or a neighbour does not
+    start with a 0 bead."""
+    stacks = [list(s) for s in p.stacks]
+    tile = [i, *p.graph.noncommute[i]]
+    if not stacks[i] or stacks[i][0] == ZERO or any(
+            not stacks[j] or stacks[j][0] != ZERO for j in tile[1:]):
+        raise ExtractionStuck(f"no bottom tile of {i} to cycle")
+    l = Letter(i, stacks[i][0])
+    for j in tile:
+        del stacks[j][0]
+    q = Piling.from_stacks(p.graph, stacks)
     _fold(q, (l,))
     return q, l
 
@@ -472,6 +483,41 @@ def extract_by_scanning(g, stacks, exclude=()):
             stacks[j].popleft()
 
 
+def cyclic_reduce_by_scanning(g, stacks):
+    """Reference: the sweeps of earlier versions on explicit bead stacks,
+    in place.  Sweep i from 1 to n; while stack i starts with a signed
+    bead and ends with the opposite one, remove its bottom tile, then
+    cancel the top one.  Sweep again until a sweep removes nothing.
+    Returns the bottom letters of the removed pairs in order.  A
+    neighbour with no 0 bead at the bottom raises ExtractionStuck, and
+    one with no 0 bead on top once the bottom tile is gone raises
+    PilingError; each names the lowest such neighbour."""
+    def blocked(i, end):
+        return [j for j in sorted(g.noncommute[i]) if not stacks[j] or stacks[j][end] != ZERO]
+
+    events = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, g.n + 1):
+            s = stacks[i]
+            while s and s[0] != ZERO and s[-1] == -s[0]:
+                if stuck := blocked(i, 0):
+                    raise ExtractionStuck(f"stack {stuck[0]} does not start with a 0 bead "
+                                          f"under the bottom tile of {i}")
+                for j in g.noncommute[i]:
+                    stacks[j].popleft()
+                if stuck := blocked(i, -1):
+                    raise PilingError(f"stack {stuck[0]} does not end with a 0 bead "
+                                      f"over the top tile of {i}")
+                for j in g.noncommute[i]:
+                    stacks[j].pop()
+                events.append(Letter(i, s.popleft()))
+                s.pop()
+                changed = True
+    return events
+
+
 def stacks_of(p):
     return [tuple(s) for s in p.stacks]
 
@@ -503,7 +549,15 @@ def test_kernel_matches_references_on_random_graphs():
         assert stacks_of(q) == list(map(tuple, ref))
         assert q.signed_count == sum(len(s) - s.count(ZERO) for s in ref)
         assert q == Piling.from_stacks(g, q.stacks)
-        p, _ = cyclic_reduce(folded)
+        p, events = cyclic_reduce(folded)
+        ref = [deque(s) for s in folded.stacks]
+        ref_events = cyclic_reduce_by_scanning(g, ref)
+        assert stacks_of(p) == list(map(tuple, ref))
+        # the same letters and the same element, perhaps in another order
+        assert sorted(events) == sorted(ref_events)
+        assert pi_star(g, events) == pi_star(g, ref_events)
+        # the removed pairs' bottom letters conjugate the input to the result
+        assert pi_star(g, inverse_word(events) + sigma_star(folded) + tuple(events)) == p
         if p.is_empty():
             continue
         # the joint passes against one reference run per component
@@ -582,3 +636,104 @@ def test_extract_keeps_a_bottom_run_of_2_31_minus_1():
     assert (q._under[1][0], _top_run(q, 1), _top_run(q, 2), _top_run(q, 3)) == (
         2 ** 31 - 2, 0, 1, 2 ** 31 - 2)
     assert list(q._beads[1]) == [1] and q.signed_count == 1
+
+
+def test_cyclic_reduce_rejects_invalid_pilings():
+    """Pilings that no word folds to, blocked at the first pair: the
+    messages are those of the earlier sweep (``cyclic_reduce_by_scanning``),
+    and the input piling is left as it was."""
+    free = build_graph(("a1", "a2"), [])
+    cases = [
+        # the bottom a1-tile needs a 0 bead at the bottom of stack a2
+        (hand_built(free, [1, -1], [1, 0, 0]), ExtractionStuck,
+         "stack 2 does not start with a 0 bead under the bottom tile of 1"),
+        # the top a1-tile needs a 0 bead on top of stack a2
+        (hand_built(free, [1, -1], [0, 1]), PilingError,
+         "stack 2 does not end with a 0 bead over the top tile of 1"),
+        # empty stack a2 holds one 0 bead, but the pair needs one at each end
+        (hand_built(free, [1, -1], [0]), PilingError,
+         "stack 2 does not end with a 0 bead over the top tile of 1"),
+    ]
+    for p, error, message in cases:
+        before = p.stacks
+        with pytest.raises(PilingError) as raised:
+            cyclic_reduce(p)
+        assert type(raised.value) is error and str(raised.value) == message
+        assert p.stacks == before and p == Piling.from_stacks(free, before)
+
+
+def test_cyclic_reduce_on_corrupted_pilings():
+    """Conjugated words' pilings with one bead added, dropped or flipped:
+    cyclic reduction returns a cyclically reduced piling or raises
+    ExtractionStuck or PilingError, and never changes its input."""
+    rng = random.Random(78)
+    outcomes = set()
+    for k in range(600):
+        n = rng.randrange(2, 8) if k % 3 else rng.choice((16, 64, 65))
+        g = random_graph(rng, n)
+        c = random_word(g, rng.randrange(0, 30), rng)
+        w = c + random_word(g, rng.randrange(1, 20), rng) + inverse_word(c)
+        stacks = [list(s) for s in pi_star(g, w).stacks]
+        j = rng.choice([i for i in range(1, n + 1) if stacks[i]] or [1])
+        s = stacks[j]
+        change = rng.randrange(3) if s else 0
+        if change == 0:
+            s.insert(rng.randrange(len(s) + 1), rng.choice((1, -1)))
+        elif change == 1:
+            del s[rng.randrange(len(s))]
+        else:
+            at = rng.randrange(len(s))
+            s[at] = rng.choice([b for b in (1, -1, ZERO) if b != s[at]])
+        p = Piling.from_stacks(g, stacks)
+        try:
+            q, _ = cyclic_reduce(p)
+        except PilingError as err:
+            assert type(err) in (ExtractionStuck, PilingError)
+            outcomes.add(type(err))
+        else:
+            assert is_cyclically_reduced(q)
+            outcomes.add(Piling)
+        assert p == Piling.from_stacks(g, stacks)
+    assert outcomes == {Piling, ExtractionStuck, PilingError}
+
+
+def path_graph(n):
+    """a1 - a2 - ... - an: neighbours do not commute, all other pairs do."""
+    names = [f"a{i}" for i in range(1, n + 1)]
+    return build_graph(names, [(a, b) for i, a in enumerate(names) for b in names[i + 2:]])
+
+
+def test_cyclic_reduce_lines_per_pair_do_not_grow_with_n():
+    """Clock-free: the Python lines run in ``raag/piling.py`` per removed
+    pair of c.a3.c^-1, c = (a2 a1)^1000, agree within 10% on path graphs
+    of 4, 16 and 64 generators.  A loop that rescans the stacks or steps
+    through a tile's neighbours in Python runs more lines per pair as n
+    grows."""
+    per_pair = []
+    for n in (4, 16, 64):
+        g = path_graph(n)
+        c = parse_word(g, "a2 a1 " * 1000)
+        p = pi_star(g, c + parse_word(g, "a3") + inverse_word(c))
+        lines = 0
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count_lines
+
+        def trace_piling(frame, event, arg):
+            if frame.f_code.co_filename == _fold.__code__.co_filename:
+                return count_lines
+            return None
+
+        old = sys.gettrace()
+        sys.settrace(trace_piling)
+        try:
+            q, events = cyclic_reduce(p)
+        finally:
+            sys.settrace(old)
+        # the innermost a1 commutes with a3 and cancels in the fold
+        assert len(events) == 1999 and q == pi_star(g, parse_word(g, "a3"))
+        per_pair.append(lines / len(events))
+    assert max(per_pair) <= 1.1 * min(per_pair), per_pair
