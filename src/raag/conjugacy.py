@@ -6,7 +6,12 @@ letters into one factor per component.  Each factor then carries a
 cyclic normal form, unique for its conjugacy class up to rotation, so
 conjugacy reduces to cyclic string equality per factor.  The conjugacy
 decision first compares the letter counts of the two cyclically
-reduced pilings, and answers NO there when they differ.
+reduced pilings, and answers NO there when they differ.  It then
+compares the two pyramidal pilings, and answers YES there when they are
+equal: the extraction is a function of the piling, so equal pilings
+give equal factors, and it is injective on valid pilings, so the pairs
+left over are exactly those that need a rotation.  Only those are
+extracted and rotation-compared.
 """
 from __future__ import annotations
 
@@ -44,21 +49,37 @@ def cyclic_normal_factors(g: DefiningGraph, w: Word) -> CyclicNormalFactors:
     and the joint cycling in the order they would alone; sorting them by
     component gives the factors and the events."""
     p, events = cyclic_reduce(pi_star(g, w))
-    return _factor(g, p, events)
+    return _drain_factors(g, _pyramid(g, p, events))
 
 
-def _factor(g: DefiningGraph, p: Piling, events: list[Letter]) -> CyclicNormalFactors:
-    """``cyclic_normal_factors`` from the cyclic reduction on: p is the
-    cyclically reduced piling, left as it is, and events the letters of
-    its reduction, which this extends."""
+class _Pyramid(NamedTuple):
+    """A cyclic normal form before extraction: ``CyclicNormalFactors``
+    with the pyramidal piling in place of the factors."""
+
+    components: tuple[tuple[int, ...], ...]
+    piling: Piling
+    events: Word
+
+
+def _pyramid(g: DefiningGraph, p: Piling, events: list[Letter]) -> _Pyramid:
+    """The first step of ``cyclic_normal_factors`` from the cyclic
+    reduction on: p is the cyclically reduced piling, left as it is, and
+    events the letters of its reduction, to which the cycled letters of
+    each component are appended."""
     if p.is_empty():
-        return CyclicNormalFactors((), (), tuple(events))
+        return _Pyramid((), p, tuple(events))
     components = support_components(g, p.support())
     pyr, cycled, _ = pyramidalize(p)
     for part in _by_component(g, components, cycled):
         events += part
-    factors = tuple(map(tuple, _by_component(g, components, _drain(pyr))))
-    return CyclicNormalFactors(factors, components, tuple(events))
+    return _Pyramid(components, pyr, tuple(events))
+
+
+def _drain_factors(g: DefiningGraph, pyr: _Pyramid) -> CyclicNormalFactors:
+    """The second step: extract the pyramidal piling, emptying it, and
+    sort its letters into one factor per component."""
+    factors = tuple(map(tuple, _by_component(g, pyr.components, _drain(pyr.piling))))
+    return CyclicNormalFactors(factors, pyr.components, pyr.events)
 
 
 def _by_component(g: DefiningGraph, components, w) -> list[Sequence[Letter]]:
@@ -140,17 +161,18 @@ def _factor_rotations(fw: CyclicNormalFactors, fv: CyclicNormalFactors) -> list[
     return rotations
 
 
-def _factor_both(g: DefiningGraph, w: Word,
-                 v: Word) -> tuple[CyclicNormalFactors, CyclicNormalFactors] | None:
-    """The cyclic normal factors of w and of v; None, before either is
-    pyramidalized or extracted, when their cyclically reduced pilings
+def _factor_both(g: DefiningGraph, w: Word, v: Word) -> tuple[_Pyramid, _Pyramid] | None:
+    """``_pyramid`` of w and of v, neither extracted; None, before
+    either is pyramidalized, when their cyclically reduced pilings
     differ in letter counts (``conjugate_in_raag`` says why that is
     exact)."""
     pw, ew = cyclic_reduce(pi_star(g, w))
     pv, ev = cyclic_reduce(pi_star(g, v))
     if _letter_counts(pw) != _letter_counts(pv):
         return None
-    return _factor(g, pw, ew), _factor(g, pv, ev)
+    first = _pyramid(g, pw, ew)
+    del pw  # pyramidalize copied it; free it before the second pyramid is built
+    return first, _pyramid(g, pv, ev)
 
 
 def conjugate_in_raag(g: DefiningGraph, w: Word, v: Word) -> bool:
@@ -163,6 +185,17 @@ def conjugate_in_raag(g: DefiningGraph, w: Word, v: Word) -> bool:
     never cancels a tile of a cyclically reduced piling and extraction
     emits every tile, so the factors hold exactly the reduced piling's
     letters, and factors that are rotations of each other hold the same
-    letters."""
+    letters.
+
+    Equal pyramidal pilings then answer YES before either is extracted.
+    That answer is exact too: equal pilings have equal supports, so
+    equal components and equal extractions, and every rotation t_k is
+    0.  Because sigma* is injective on valid pilings (pi*(sigma*(P)) =
+    P), this catches exactly the pairs whose rotations are all 0; only
+    the others are extracted and rotation-compared."""
     both = _factor_both(g, w, v)
-    return both is not None and _factor_rotations(*both) is not None
+    if both is None:
+        return False
+    pw, pv = both
+    return pw.piling == pv.piling or _factor_rotations(
+        _drain_factors(g, pw), _drain_factors(g, pv)) is not None

@@ -400,11 +400,15 @@ def test_acceptance_10_kernel_traffic_is_linear(monkeypatch):
                + ", ".join(lines) + f"; under {bound} per input letter")
 
 
-# kernel letters of the YES decisions below, as measured before the
-# count check: the check adds no kernel work to a YES
+# kernel letters of the YES decisions below.  The path rotation and the
+# conjugated loop have equal pyramidal pilings, so only pyramidalize
+# extracts (the path pair drained both pyramids as well, 7,355 extracted
+# letters, before equal pyramids answered YES); the based rotation's
+# pyramids differ, so both are drained and rotation-compared.
 YES_TRAFFIC = {
-    "path": Counter(_fold=7355, _extract=7355),
+    "path": Counter(_fold=7355, _extract=3353),
     "loop": Counter(_fold=800, _extract=800),
+    "conjugated loop": Counter(_fold=802, _extract=0, cyclic_reduce=2),
 }
 
 
@@ -413,8 +417,10 @@ def test_acceptance_10_count_check_extracts_nothing_on_no(monkeypatch):
     counts are NO before anything is pyramidalized or extracted: a word
     of the path family against itself with one letter inverted, and a
     loop against itself with a closed power inserted.  Their YES
-    partners (a rotation; a based rotation) move exactly the kernel
-    letters that they moved before the count check existed."""
+    partners move exactly the kernel letters pinned in ``YES_TRAFFIC``:
+    a rotation of the path word and a conjugate of the loop, whose
+    pyramidal pilings equal their partners' and are never drained, and
+    a based rotation of the loop, whose pyramids differ."""
     traffic = count_kernel_letters(monkeypatch)
 
     path = path_graph()
@@ -438,6 +444,10 @@ def test_acceptance_10_count_check_extracts_nothing_on_no(monkeypatch):
     traffic.clear()
     assert groupoid_conjugate(cx, g, loop, rotated)
     assert traffic == YES_TRAFFIC["loop"]
+    conjugated = based_word(cx, "x1", z[:1] + z * 100 + inverse_word(z[:1]))
+    traffic.clear()
+    assert groupoid_conjugate(cx, g, loop, conjugated)
+    assert traffic == YES_TRAFFIC["conjugated loop"]
     report(10, "letter counts answer NO with 0 extracted letters; YES traffic "
                + ", ".join(f"{k} {c.total()}" for k, c in YES_TRAFFIC.items()))
 

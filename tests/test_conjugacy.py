@@ -20,9 +20,10 @@ from raag import (
     parse_word,
     pi_star,
 )
+from raag.conjugacy import _factor_both, _factor_rotations
 from raag.piling import _letter_counts
 from .conftest import (is_cyclic_normal, is_normal, random_equivalent_rewrite, random_graph,
-                       random_word)
+                       random_reduced_word, random_word)
 
 EXAMPLE_WORD = "a2^-2 a4^-1 a3 a2 a4 a1 a2 a1^-1 a2^2 a4^-1"
 
@@ -252,6 +253,34 @@ def test_equal_letter_counts_decided_as_the_oracle():
         assert got == oracle_conjugate(g, w, v), (g, w, v)
         answers.append(got)
     assert answers.count(True) >= 20 and answers.count(False) >= 20
+
+
+def test_equal_pyramids_decided_as_the_rotation_search():
+    """Equal pyramidal pilings answer YES before anything is extracted.
+    On random graphs of 2-65 generators, a random reduced word against
+    itself, a rotation, a conjugate c.w.c^-1, a one-sign flip or a
+    permutation of its letters gets the answer of the rotation search
+    over both full factorizations.  Equal pyramids occur, always with
+    YES, and unequal ones with both answers."""
+    rng = random.Random(59)
+    seen = set()
+    for _ in range(400):
+        g = random_graph(rng, rng.randrange(2, 66))
+        w = random_reduced_word(g, rng.randrange(1, 40), rng)
+        t = rng.randrange(len(w))
+        v = rng.choice((
+            w,
+            w[t:] + w[:t],
+            (c := random_word(g, rng.randrange(1, 6), rng)) + w + inverse_word(c),
+            w[:t] + (Letter(w[t].gen, -w[t].sign),) + w[t + 1:],
+            tuple(rng.sample(w, len(w)))))
+        got = conjugate_in_raag(g, w, v)
+        assert got == (_factor_rotations(cyclic_normal_factors(g, w),
+                                         cyclic_normal_factors(g, v)) is not None), (g, w, v)
+        both = _factor_both(g, w, v)
+        seen.add((None if both is None else both[0].piling == both[1].piling, got))
+    assert (True, False) not in seen
+    assert {(True, True), (False, True), (False, False), (None, False)} <= seen
 
 
 def test_free_group_conjugacy():

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+import raag.conjugacy
 import raag.cubecomplex
 from raag import (
     BasedWord,
@@ -23,6 +24,7 @@ from raag import (
     groupoid_conjugate,
     inverse_word,
     normalize_based,
+    oracle_groupoid_conjugate,
     parse_based_word,
     parse_complex,
     parse_word,
@@ -30,6 +32,7 @@ from raag import (
     reach_by_preferred_enumeration,
     validate,
 )
+from raag.conjugacy import _factor_both
 from raag.core import letter_row, letter_table
 from raag.cubecomplex import ValidationReport, trace
 from .conftest import random_word
@@ -619,6 +622,41 @@ def test_aligned_base_answers_yes_without_centralizer(monkeypatch):
     C = based_word(TRAP, "x1", parse_word(FREE2, "a2 a1 a2^-1"))
     assert not groupoid_conjugate(TRAP, FREE2, A, C)
     assert calls == ["centralizer_generators", "reach_by_centralizer"]
+
+
+def test_equal_pyramids_with_apart_bases_drain_one_piling(monkeypatch):
+    """Loop pairs x: w and y: c.w.c^-1 whose pyramidal pilings are equal
+    but whose carried bases differ, on the trap and the square complex,
+    and the README's NO pair.  Neither rotation search nor loop 1's
+    extraction runs: only loop 2's piling is drained, for its
+    centralizer, and the answer is the brute-force oracle's.  Both
+    answers occur."""
+    drained = []
+    real_drain = raag.conjugacy._drain
+    monkeypatch.setattr(raag.conjugacy, "_drain", lambda p: drained.append(p) or real_drain(p))
+    rng = random.Random(67)
+    answers = []
+    readme_no = ("x1", parse_word(FREE2, "a1")), ("x1", parse_word(FREE2, "a2 a1 a2^-1"))
+    cases = [(FREE2, TRAP, readme_no)]
+    for g, cx in [(FREE2, TRAP), square_complex()] * 200:
+        w = random_word(g, rng.randrange(1, 5), rng)
+        c = random_word(g, rng.randrange(0, 3), rng)
+        pair = (rng.choice(cx.vertices), w), (rng.choice(cx.vertices), c + w + inverse_word(c))
+        if all(trace(cx, x, u) == x for x, u in pair):
+            cases.append((g, cx, pair))
+    for g, cx, ((x, w), (y, v)) in cases:
+        both = _factor_both(g, w, v)
+        if (both is None or both[0].piling != both[1].piling
+                or trace(cx, x, both[0].events) == trace(cx, y, both[1].events)):
+            continue
+        bw1, bw2 = based_word(cx, x, w), based_word(cx, y, v)
+        drained.clear()
+        got = groupoid_conjugate(cx, g, bw1, bw2)
+        assert len(drained) == 1
+        assert got == oracle_groupoid_conjugate(cx, g, bw1, bw2), (bw1, bw2)
+        answers.append(got)
+    assert answers[0] is False  # the README pair
+    assert answers.count(True) >= 5 and answers.count(False) >= 5
 
 
 def test_groupoid_conjugate_rejects_non_loops():
