@@ -7,18 +7,22 @@ cyclic normal form, unique for its conjugacy class up to rotation, so
 conjugacy reduces to cyclic string equality per factor.  The conjugacy
 decision first compares the letter counts of the two cyclically
 reduced pilings, and answers NO there when they differ.  It then
-compares the two pyramidal pilings, and answers YES there when they are
-equal: the extraction is a function of the piling, so equal pilings
-give equal factors, and it is injective on valid pilings, so the pairs
-left over are exactly those that need a rotation.  Only those are
-extracted and rotation-compared.
+compares the two cyclically reduced pilings, and answers YES there when
+they are equal: pyramidalize and the extraction are functions of the
+piling, so equal pilings give equal factors.  Only pairs whose
+reductions differ are pyramidalized, and their pyramidal pilings are
+compared next, with YES when they are equal: the extraction is injective
+on valid pilings, so the pairs left over are exactly those that need a
+rotation.  Only those are extracted and rotation-compared.  The
+decision owns every piling it builds, so each stage works on it in place
+and none is copied.
 """
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
 from .core import DefiningGraph, Letter, Word, support_components
-from .piling import Piling, _drain, _letter_counts, cyclic_reduce, pi_star, pyramidalize
+from .piling import Piling, _cyclic_reduce, _drain, _letter_counts, _pyramidalize, pi_star
 
 
 class CyclicNormalFactors(NamedTuple):
@@ -48,8 +52,15 @@ def cyclic_normal_factors(g: DefiningGraph, w: Word) -> CyclicNormalFactors:
     stack, so each component's letters come out of the joint extraction
     and the joint cycling in the order they would alone; sorting them by
     component gives the factors and the events."""
-    p, events = cyclic_reduce(pi_star(g, w))
-    return _drain_factors(g, _pyramid(g, p, events))
+    return _drain_factors(g, _pyramid(g, *_reduce(g, w)))
+
+
+def _reduce(g: DefiningGraph, w: Word) -> tuple[Piling, list[Letter]]:
+    """The cyclically reduced piling of w and the letters of its
+    reduction, as ``cyclic_reduce(pi_star(g, w))`` gives them, built in
+    place on one piling."""
+    p = pi_star(g, w)
+    return p, _cyclic_reduce(p)
 
 
 class _Pyramid(NamedTuple):
@@ -63,16 +74,16 @@ class _Pyramid(NamedTuple):
 
 def _pyramid(g: DefiningGraph, p: Piling, events: list[Letter]) -> _Pyramid:
     """The first step of ``cyclic_normal_factors`` from the cyclic
-    reduction on: p is the cyclically reduced piling, left as it is, and
-    events the letters of its reduction, to which the cycled letters of
-    each component are appended."""
+    reduction on: p is the cyclically reduced piling, pyramidalized in
+    place, and events the letters of its reduction, to which the cycled
+    letters of each component are appended."""
     if p.is_empty():
         return _Pyramid((), p, tuple(events))
     components = support_components(g, p.support())
-    pyr, cycled, _ = pyramidalize(p)
+    cycled, _ = _pyramidalize(p)
     for part in _by_component(g, components, cycled):
         events += part
-    return _Pyramid(components, pyr, tuple(events))
+    return _Pyramid(components, p, tuple(events))
 
 
 def _drain_factors(g: DefiningGraph, pyr: _Pyramid) -> CyclicNormalFactors:
@@ -161,18 +172,15 @@ def _factor_rotations(fw: CyclicNormalFactors, fv: CyclicNormalFactors) -> list[
     return rotations
 
 
-def _factor_both(g: DefiningGraph, w: Word, v: Word) -> tuple[_Pyramid, _Pyramid] | None:
-    """``_pyramid`` of w and of v, neither extracted; None, before
-    either is pyramidalized, when their cyclically reduced pilings
-    differ in letter counts (``conjugate_in_raag`` says why that is
-    exact)."""
-    pw, ew = cyclic_reduce(pi_star(g, w))
-    pv, ev = cyclic_reduce(pi_star(g, v))
-    if _letter_counts(pw) != _letter_counts(pv):
+def _reduce_both(g: DefiningGraph, w: Word, v: Word
+                 ) -> tuple[tuple[Piling, list[Letter]], tuple[Piling, list[Letter]]] | None:
+    """``_reduce`` of w and of v; None when the two cyclically reduced
+    pilings differ in letter counts (``conjugate_in_raag`` says why that
+    is exact)."""
+    rw, rv = _reduce(g, w), _reduce(g, v)
+    if _letter_counts(rw[0]) != _letter_counts(rv[0]):
         return None
-    first = _pyramid(g, pw, ew)
-    del pw  # pyramidalize copied it; free it before the second pyramid is built
-    return first, _pyramid(g, pv, ev)
+    return rw, rv
 
 
 def conjugate_in_raag(g: DefiningGraph, w: Word, v: Word) -> bool:
@@ -187,15 +195,23 @@ def conjugate_in_raag(g: DefiningGraph, w: Word, v: Word) -> bool:
     letters, and factors that are rotations of each other hold the same
     letters.
 
-    Equal pyramidal pilings then answer YES before either is extracted.
-    That answer is exact too: equal pilings have equal supports, so
-    equal components and equal extractions, and every rotation t_k is
-    0.  Because sigma* is injective on valid pilings (pi*(sigma*(P)) =
-    P), this catches exactly the pairs whose rotations are all 0; only
-    the others are extracted and rotation-compared."""
-    both = _factor_both(g, w, v)
+    Equal cyclically reduced pilings then answer YES before either is
+    pyramidalized.  That answer is exact because pyramidalize is
+    deterministic: equal pilings have equal supports, equal cycled
+    letters and equal pyramids, so equal factors.
+
+    Otherwise both are pyramidalized, and equal pyramidal pilings answer
+    YES before either is extracted.  That answer is exact too: equal
+    pilings have equal components and equal extractions, and every
+    rotation t_k is 0.  Because sigma* is injective on valid pilings
+    (pi*(sigma*(P)) = P), this catches exactly the pairs whose rotations
+    are all 0; only the others are extracted and rotation-compared."""
+    both = _reduce_both(g, w, v)
     if both is None:
         return False
-    pw, pv = both
-    return pw.piling == pv.piling or _factor_rotations(
-        _drain_factors(g, pw), _drain_factors(g, pv)) is not None
+    (pw, ew), (pv, ev) = both
+    if pw == pv:
+        return True
+    yw, yv = _pyramid(g, pw, ew), _pyramid(g, pv, ev)
+    return yw.piling == yv.piling or _factor_rotations(
+        _drain_factors(g, yw), _drain_factors(g, yv)) is not None

@@ -25,11 +25,15 @@ beads out on demand for display and tests; ``Piling.from_stacks`` builds
 a piling from such a spelling.
 
 All public operations are pure: they copy their input piling and
-return fresh values.  They are built from a private kernel of the push
-rule (``_fold``) and two loops on one packed *bottom field*: the
-largest-index extraction loop (``_extract``), which skips a given set of
-stacks, and the pair loop of ``cyclic_reduce``.  ``_drain`` is
-``sigma_star`` without the copy, for callers that own a fresh piling.
+return fresh values, and leave it unchanged also when they raise.  They
+are built from a private kernel of the push rule (``_fold``) and two
+loops on one packed *bottom field*: the largest-index extraction loop
+(``_extract``), which skips a given set of stacks, and the pair loop of
+``_cyclic_reduce``.  Each public operation on a piling is a copy
+followed by a private form that works in place, for callers that own a
+fresh piling: ``_drain`` is ``sigma_star``, ``_cyclic_reduce``
+``cyclic_reduce`` and ``_pyramidalize`` ``pyramidalize`` without the
+copy.  The deciders own every piling they build, so they copy none.
 
 A tile can be removed from the bottom exactly when its stack starts
 with a signed bead (in a valid piling its non-commuting neighbours then
@@ -394,49 +398,60 @@ def cyclic_reduce(p: Piling) -> tuple[Piling, list[Letter]]:
     versions, which swept the stacks from 1 to n, did; it is the same
     element with the same letters.  Raises
     ExtractionStuck or PilingError, leaving p unchanged, if a neighbour
-    of a pair lacks the 0 bead at the bottom or top that the pair needs.
+    of a pair lacks the 0 bead at the bottom or top that the pair needs."""
+    q = p.copy()
+    return q, _cyclic_reduce(q)
+
+
+def _cyclic_reduce(p: Piling) -> list[Letter]:
+    """``cyclic_reduce`` in place: p becomes the cyclically reduced
+    piling, and the bottom letters of the removed pairs are returned.
+    A pair that cannot be removed raises with the pairs before it
+    removed and p a valid piling.
 
     One loop on the bottom field ``cb`` and a copy ``top`` of ``_top``
     (see the module docstring): the highest stack in the wrap mask loses
     its pair, every neighbour's fields move by one add or subtract, and
-    only that stack's own fields and ``opp`` bit are rewritten."""
-    q = p.copy()
-    beads, under, tiles = q._beads, q._under, q._lay.tiles
-    letters = letter_table(q.graph.n)
-    ones = q._lay.empty >> 31
-    cb, top = _bottoms(q), q._top
+    only that stack's own fields and ``opp`` bit are rewritten.  Both
+    go back into p on the way out, as in ``_extract``."""
+    beads, under, tiles = p._beads, p._under, p._lay.tiles
+    letters = letter_table(p.graph.n)
+    ones = p._lay.empty >> 31
+    cb, top = _bottoms(p), p._top
     # the guard bits of the stacks whose end beads differ; the low bits of the empty stacks
     opp = sum(_GUARD << t[0] for t, s in zip(tiles[1:], beads[1:]) if s and s[0] != s[-1])
     elow = sum(1 << t[0] for t, s in zip(tiles[1:], beads[1:]) if not s)
     events: list[Letter] = []
-    while wrap := cb & opp & ~(top - ones):
-        i = wrap.bit_length() >> 5
-        sh, lo, h, _ = tiles[i]
-        if cb & h:
-            raise ExtractionStuck(
-                f"stack {_lowest_field(cb & h)} does not start with a 0 bead "
-                f"under the bottom tile of {i}")
-        # an empty neighbour's single run loses a bead at both ends
-        d = lo + (lo & elow)
-        top -= d
-        if top & h != h:
-            raise PilingError(
-                f"stack {_lowest_field(h & ~top)} does not end with a 0 bead "
-                f"over the top tile of {i}")
-        b, u = beads[i], under[i]
-        events.append(letters[i][b.popleft()])
-        b.pop()
-        u.popleft()
-        run = u.pop()
-        top |= run << sh
-        if not u:
-            elow |= 1 << sh
-        if not b or b[0] == b[-1]:
-            opp ^= _GUARD << sh
-        # stack i's new bottom run: under its next signed bead, or its one run
-        cb += d - ((u[0] if u else run) << sh)
-    _set_bottoms(q, cb, top)
-    return q, events
+    try:
+        while wrap := cb & opp & ~(top - ones):
+            i = wrap.bit_length() >> 5
+            sh, lo, h, _ = tiles[i]
+            if cb & h:
+                raise ExtractionStuck(
+                    f"stack {_lowest_field(cb & h)} does not start with a 0 bead "
+                    f"under the bottom tile of {i}")
+            # an empty neighbour's single run loses a bead at both ends
+            d = lo + (lo & elow)
+            t = top - d
+            if t & h != h:
+                raise PilingError(
+                    f"stack {_lowest_field(h & ~t)} does not end with a 0 bead "
+                    f"over the top tile of {i}")
+            b, u = beads[i], under[i]
+            events.append(letters[i][b.popleft()])
+            b.pop()
+            u.popleft()
+            run = u.pop()
+            top = t | run << sh
+            if not u:
+                elow |= 1 << sh
+            if not b or b[0] == b[-1]:
+                opp ^= _GUARD << sh
+            # stack i's new bottom run: under its next signed bead, or its one run
+            cb += d - ((u[0] if u else run) << sh)
+    finally:
+        _set_bottoms(p, cb, top)
+    return events
 
 
 def pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
@@ -456,20 +471,28 @@ def pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
     time.  The passes number at most the largest eccentricity of an apex
     in its component, which is below n; a pass beyond n raises
     PilingError instead of looping on."""
+    q = p.copy()
+    events, passes = _pyramidalize(q)
+    return q, events, passes
+
+
+def _pyramidalize(p: Piling) -> tuple[list[Letter], int]:
+    """``pyramidalize`` in place: p becomes the pyramidal piling, and
+    the cycled letters and the number of passes are returned.  The two
+    checks on the input raise before p is changed."""
     if p.is_empty():
         raise EmptyPiling("cannot pyramidalize the empty piling")
     if not is_cyclically_reduced(p):
         raise NotCyclicallyReduced("input piling admits a cyclic reduction")
     apexes = {c[0] for c in support_components(p.graph, p.support())}
-    q = p.copy()
     events: list[Letter] = []
     passes = 0
     while True:
-        letters = _extract(q, apexes)
+        letters = _extract(p, apexes)
         if not letters:
-            return q, events, passes
+            return events, passes
         passes += 1
-        if passes > q.graph.n:
-            raise PilingError(f"pyramidalize did not settle within {q.graph.n} passes")
-        _fold(q, letters)
+        if passes > p.graph.n:
+            raise PilingError(f"pyramidalize did not settle within {p.graph.n} passes")
+        _fold(p, letters)
         events += letters

@@ -341,20 +341,21 @@ def count_kernel_letters(monkeypatch) -> Counter:
     bottom and its top letter)."""
     traffic = Counter()
 
-    def count(module, name, letters):
+    def count(module, name, letters, key=None):
         real = getattr(module, name)
 
         def wrapper(*args):
             out = real(*args)
-            traffic[name] += letters(args, out)
+            traffic[key or name] += letters(args, out)
             return out
 
         monkeypatch.setattr(module, name, wrapper)
 
     count(raag.piling, "_fold", lambda args, out: len(args[1]))
     count(raag.piling, "_extract", lambda args, out: len(out))
-    # wrapped where the deciders look it up
-    count(raag.conjugacy, "cyclic_reduce", lambda args, out: 2 * len(out[1]))
+    # wrapped where the deciders look it up: the in-place form, which
+    # returns the removed pairs' bottom letters
+    count(raag.conjugacy, "_cyclic_reduce", lambda args, out: 2 * len(out), "cyclic_reduce")
     return traffic
 
 
@@ -400,13 +401,18 @@ def test_acceptance_10_kernel_traffic_is_linear(monkeypatch):
                + ", ".join(lines) + f"; under {bound} per input letter")
 
 
-# kernel letters of the YES decisions below.  The path rotation and the
-# conjugated loop have equal pyramidal pilings, so only pyramidalize
-# extracts (the path pair drained both pyramids as well, 7,355 extracted
-# letters, before equal pyramids answered YES); the based rotation's
-# pyramids differ, so both are drained and rotation-compared.
+# kernel letters of the YES decisions below.  The path rotation has
+# unequal cyclic reductions but equal pyramidal pilings, so only
+# pyramidalize extracts (the path pair drained both pyramids as well,
+# 7,355 extracted letters, before equal pyramids answered YES); the
+# based rotation's pyramids differ, so both are drained and
+# rotation-compared.  The conjugated path and the conjugated loop have
+# equal cyclic reductions, which answer YES with nothing pyramidalized,
+# so nothing is extracted (the conjugated path pyramidalized both words
+# before, 8,026 folded and 4,020 extracted letters).
 YES_TRAFFIC = {
     "path": Counter(_fold=7355, _extract=3353),
+    "conjugated path": Counter(_fold=4006, _extract=0, cyclic_reduce=4),
     "loop": Counter(_fold=800, _extract=800),
     "conjugated loop": Counter(_fold=802, _extract=0, cyclic_reduce=2),
 }
@@ -418,9 +424,11 @@ def test_acceptance_10_count_check_extracts_nothing_on_no(monkeypatch):
     of the path family against itself with one letter inverted, and a
     loop against itself with a closed power inserted.  Their YES
     partners move exactly the kernel letters pinned in ``YES_TRAFFIC``:
-    a rotation of the path word and a conjugate of the loop, whose
-    pyramidal pilings equal their partners' and are never drained, and
-    a based rotation of the loop, whose pyramids differ."""
+    a rotation of the path word, whose pyramidal piling equals its
+    partner's and is never drained; conjugates of the path word and of
+    the loop, whose cyclically reduced pilings equal their partners' and
+    are never pyramidalized; and a based rotation of the loop, whose
+    pyramids differ."""
     traffic = count_kernel_letters(monkeypatch)
 
     path = path_graph()
@@ -432,6 +440,10 @@ def test_acceptance_10_count_check_extracts_nothing_on_no(monkeypatch):
     traffic.clear()
     assert conjugate_in_raag(path, w, w[t:] + w[:t])
     assert traffic == YES_TRAFFIC["path"]
+    c = parse_word(path, "a3 a5")
+    traffic.clear()
+    assert conjugate_in_raag(path, w, c + w + inverse_word(c))
+    assert traffic == YES_TRAFFIC["conjugated path"]
 
     g, cx = trap_complex()
     z = parse_word(g, "a1 a2 a1 a2^-1")  # a loop at x1 through x2

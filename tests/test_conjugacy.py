@@ -20,7 +20,8 @@ from raag import (
     parse_word,
     pi_star,
 )
-from raag.conjugacy import _factor_both, _factor_rotations
+import raag.conjugacy
+from raag.conjugacy import _factor_rotations, _pyramid, _reduce_both
 from raag.piling import _letter_counts
 from .conftest import (is_cyclic_normal, is_normal, random_equivalent_rewrite, random_graph,
                        random_reduced_word, random_word)
@@ -277,9 +278,46 @@ def test_equal_pyramids_decided_as_the_rotation_search():
         got = conjugate_in_raag(g, w, v)
         assert got == (_factor_rotations(cyclic_normal_factors(g, w),
                                          cyclic_normal_factors(g, v)) is not None), (g, w, v)
-        both = _factor_both(g, w, v)
-        seen.add((None if both is None else both[0].piling == both[1].piling, got))
+        both = _reduce_both(g, w, v)
+        seen.add((None if both is None
+                  else _pyramid(g, *both[0]).piling == _pyramid(g, *both[1]).piling, got))
     assert (True, False) not in seen
+    assert {(True, True), (False, True), (False, False), (None, False)} <= seen
+
+
+def test_equal_reductions_decided_as_the_rotation_search(monkeypatch):
+    """Equal cyclically reduced pilings answer YES before either is
+    pyramidalized.  On random graphs of 2-65 generators, a random word
+    against itself, a rotation, a conjugate c.w.c^-1, a one-sign flip or
+    a permutation of its letters gets the answer of the rotation search
+    over both full factorizations.  Equal reductions occur, always with
+    YES and no pyramidalize; unequal ones occur with both answers."""
+    pyramidalized = []
+    real = raag.conjugacy._pyramidalize
+    monkeypatch.setattr(raag.conjugacy, "_pyramidalize",
+                        lambda p: pyramidalized.append(p) or real(p))
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(400):
+        g = random_graph(rng, rng.randrange(2, 66))
+        w = random_word(g, rng.randrange(1, 40), rng)
+        t = rng.randrange(len(w))
+        v = rng.choice((
+            w,
+            w[t:] + w[:t],
+            (c := random_word(g, rng.randrange(1, 6), rng)) + w + inverse_word(c),
+            w[:t] + (Letter(w[t].gen, -w[t].sign),) + w[t + 1:],
+            tuple(rng.sample(w, len(w)))))
+        pyramidalized.clear()
+        got = conjugate_in_raag(g, w, v)
+        calls = len(pyramidalized)
+        assert got == (_factor_rotations(cyclic_normal_factors(g, w),
+                                         cyclic_normal_factors(g, v)) is not None), (g, w, v)
+        both = _reduce_both(g, w, v)
+        equal = None if both is None else both[0][0] == both[1][0]
+        if equal:
+            assert got and calls == 0, (g, w, v)
+        seen.add((equal, got))
     assert {(True, True), (False, True), (False, False), (None, False)} <= seen
 
 

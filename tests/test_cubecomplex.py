@@ -15,6 +15,7 @@ from raag import (
     Edge,
     Letter,
     NotALoop,
+    Piling,
     UntraceableWord,
     based_word,
     build_graph,
@@ -32,7 +33,7 @@ from raag import (
     reach_by_preferred_enumeration,
     validate,
 )
-from raag.conjugacy import _factor_both
+from raag.conjugacy import _pyramid, _reduce_both
 from raag.core import letter_row, letter_table
 from raag.cubecomplex import ValidationReport, trace
 from .conftest import random_word
@@ -629,13 +630,16 @@ def test_equal_pyramids_with_apart_bases_drain_one_piling(monkeypatch):
     but whose carried bases differ, on the trap and the square complex,
     and the README's NO pair.  Neither rotation search nor loop 1's
     extraction runs: only loop 2's piling is drained, for its
-    centralizer, and the answer is the brute-force oracle's.  Both
-    answers occur."""
-    drained = []
-    real_drain = raag.conjugacy._drain
+    centralizer, and the answer is the brute-force oracle's.  When the
+    cyclically reduced pilings are equal too, only loop 2's piling is
+    pyramidalized.  Both answers occur, also among equal reductions."""
+    drained, pyramidalized = [], []
+    real_drain, real_pyramidalize = raag.conjugacy._drain, raag.conjugacy._pyramidalize
     monkeypatch.setattr(raag.conjugacy, "_drain", lambda p: drained.append(p) or real_drain(p))
+    monkeypatch.setattr(raag.conjugacy, "_pyramidalize",
+                        lambda p: pyramidalized.append(p) or real_pyramidalize(p))
     rng = random.Random(67)
-    answers = []
+    answers, equal_answers = [], set()
     readme_no = ("x1", parse_word(FREE2, "a1")), ("x1", parse_word(FREE2, "a2 a1 a2^-1"))
     cases = [(FREE2, TRAP, readme_no)]
     for g, cx in [(FREE2, TRAP), square_complex()] * 200:
@@ -645,18 +649,95 @@ def test_equal_pyramids_with_apart_bases_drain_one_piling(monkeypatch):
         if all(trace(cx, x, u) == x for x, u in pair):
             cases.append((g, cx, pair))
     for g, cx, ((x, w), (y, v)) in cases:
-        both = _factor_both(g, w, v)
-        if (both is None or both[0].piling != both[1].piling
-                or trace(cx, x, both[0].events) == trace(cx, y, both[1].events)):
+        both = _reduce_both(g, w, v)
+        if both is None:
+            continue
+        equal_reductions = both[0][0] == both[1][0]
+        p1, p2 = _pyramid(g, *both[0]), _pyramid(g, *both[1])
+        if (p1.piling != p2.piling
+                or trace(cx, x, p1.events) == trace(cx, y, p2.events)):
             continue
         bw1, bw2 = based_word(cx, x, w), based_word(cx, y, v)
         drained.clear()
+        pyramidalized.clear()
         got = groupoid_conjugate(cx, g, bw1, bw2)
         assert len(drained) == 1
+        # the trivial loop's empty piling is never pyramidalized
+        assert len(pyramidalized) == (0 if p2.piling.is_empty() else 1 if equal_reductions else 2)
         assert got == oracle_groupoid_conjugate(cx, g, bw1, bw2), (bw1, bw2)
         answers.append(got)
+        if equal_reductions:
+            equal_answers.add(got)
     assert answers[0] is False  # the README pair
     assert answers.count(True) >= 5 and answers.count(False) >= 5
+    assert equal_answers == {True, False}
+
+
+def test_equal_reductions_decided_as_the_oracle(monkeypatch):
+    """Loop pairs x: w and y: c.w.c^-1 whose cyclically reduced pilings
+    are equal, on the trap and the square complex, with the README's
+    two pairs.  Bases that meet along their own reduction letters are
+    YES with nothing pyramidalized or drained; apart ones pyramidalize
+    and drain loop 2's piling alone, at most once each.  Every answer is
+    the brute-force oracle's, and both kinds occur, the apart ones with
+    both answers."""
+    pyramidalized, drained = [], []
+    real_pyramidalize, real_drain = raag.conjugacy._pyramidalize, raag.conjugacy._drain
+    monkeypatch.setattr(raag.conjugacy, "_pyramidalize",
+                        lambda p: pyramidalized.append(p) or real_pyramidalize(p))
+    monkeypatch.setattr(raag.conjugacy, "_drain", lambda p: drained.append(p) or real_drain(p))
+    rng = random.Random(71)
+    cases = [(FREE2, TRAP, (("x1", parse_word(FREE2, "a1")), (y, parse_word(FREE2, v))))
+             for y, v in (("x1", "a2 a1 a2^-1"), ("x2", "a2^-1 a1 a2"))]
+    for g, cx in [(FREE2, TRAP), square_complex()] * 200:
+        w = random_word(g, rng.randrange(1, 6), rng)
+        c = random_word(g, rng.randrange(0, 4), rng)
+        pair = (rng.choice(cx.vertices), w), (rng.choice(cx.vertices), c + w + inverse_word(c))
+        if all(trace(cx, x, u) == x for x, u in pair):
+            cases.append((g, cx, pair))
+    seen = []
+    for g, cx, ((x, w), (y, v)) in cases:
+        both = _reduce_both(g, w, v)
+        if both is None or both[0][0] != both[1][0]:
+            continue
+        met = trace(cx, x, both[0][1]) == trace(cx, y, both[1][1])
+        bw1, bw2 = based_word(cx, x, w), based_word(cx, y, v)
+        pyramidalized.clear()
+        drained.clear()
+        got = groupoid_conjugate(cx, g, bw1, bw2)
+        assert got == oracle_groupoid_conjugate(cx, g, bw1, bw2), (bw1, bw2)
+        if met:
+            assert got and pyramidalized == drained == []
+        else:
+            assert len(pyramidalized) <= 1 and len(drained) == 1
+        seen.append((met, got))
+    assert seen[:2] == [(False, False), (True, True)]  # the README pairs
+    assert {(True, True), (False, True), (False, False)} == set(seen)
+
+
+def test_deciders_copy_no_piling(monkeypatch):
+    """Clock-free: the deciders own every piling they build and work on
+    it in place, so ``Piling.copy`` is never called by
+    ``conjugate_in_raag``, ``groupoid_conjugate`` or
+    ``cyclic_normal_factors``, whichever way the decision goes."""
+    copies = []
+    real_copy = Piling.copy
+    monkeypatch.setattr(Piling, "copy", lambda p: copies.append(p) or real_copy(p))
+    rng = random.Random(73)
+    answers = set()
+    for g, cx in [(FREE2, TRAP), square_complex()] * 100:
+        w = random_word(g, rng.randrange(1, 8), rng)
+        t = rng.randrange(len(w))
+        c = random_word(g, rng.randrange(0, 4), rng)
+        for v in (w, w[t:] + w[:t], c + w + inverse_word(c), tuple(rng.sample(w, len(w)))):
+            cyclic_normal_factors(g, v)
+            answers.add(("words", conjugate_in_raag(g, w, v)))
+            x, y = rng.choice(cx.vertices), rng.choice(cx.vertices)
+            if trace(cx, x, w) == x and trace(cx, y, v) == y:
+                bw1, bw2 = based_word(cx, x, w), based_word(cx, y, v)
+                answers.add(("loops", groupoid_conjugate(cx, g, bw1, bw2)))
+    assert answers == {("words", True), ("words", False), ("loops", True), ("loops", False)}
+    assert copies == []
 
 
 def test_groupoid_conjugate_rejects_non_loops():

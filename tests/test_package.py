@@ -95,6 +95,17 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_no_assert_statements():
+    """Invariants are checked by exceptions, not by ``assert``, which
+    ``python -O`` strips: no module of ``src/raag`` holds an ``assert``
+    statement.  The check reads the syntax tree with ``ast`` alone."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_piling_kernel_reads_no_neighbour_sets():
     """The piling kernel works on packed fields: in ``piling.py`` only
     ``_layout``, which builds the field masks, reads a graph's

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from collections import deque
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from raag.core import support_components
-from raag.piling import ZERO, Piling, _extract, _fold, _layout, _top_run
+from raag.piling import ZERO, Piling, _cyclic_reduce, _extract, _fold, _layout, _top_run
 from raag import (
     ExtractionStuck,
     Letter,
@@ -326,9 +327,11 @@ def test_pyramidalize_bounds_its_passes(example_graph, monkeypatch):
         return [Letter(1, 1)]
 
     monkeypatch.setattr("raag.piling._extract", never_empty)
+    before = p.copy()
     with pytest.raises(PilingError, match="passes"):
         pyramidalize(p)
     assert len(calls) == g.n + 1
+    assert p == before  # the public form cycled a copy
 
 
 def test_pyramidalize_rejects_bad_input(example_graph):
@@ -694,6 +697,44 @@ def test_cyclic_reduce_on_corrupted_pilings():
             assert is_cyclically_reduced(q)
             outcomes.add(Piling)
         assert p == Piling.from_stacks(g, stacks)
+    assert outcomes == {Piling, ExtractionStuck, PilingError}
+
+
+def test_in_place_cyclic_reduce_stops_at_the_blocked_pair():
+    """``_cyclic_reduce`` on the corrupted pilings above: where
+    ``cyclic_reduce`` returns, it leaves its input as the public form's
+    result with the same letters; where that raises, it raises the same
+    error with the pairs before the blocked one removed and its fields
+    written back, so the piling is one that ``from_stacks`` rebuilds
+    exactly and a second call stops at the same pair, changing nothing."""
+    rng = random.Random(79)
+    outcomes = set()
+    for k in range(600):
+        n = rng.randrange(2, 8) if k % 3 else rng.choice((16, 64, 65))
+        g = random_graph(rng, n)
+        c = random_word(g, rng.randrange(0, 30), rng)
+        stacks = [list(s) for s in pi_star(g, c + random_word(g, rng.randrange(1, 20), rng)
+                                           + inverse_word(c)).stacks]
+        j = rng.choice([i for i in range(1, n + 1) if stacks[i]] or [1])
+        stacks[j].insert(rng.randrange(len(stacks[j]) + 1), rng.choice((1, -1, ZERO)))
+        p = Piling.from_stacks(g, stacks)
+        try:
+            want = cyclic_reduce(p)
+        except PilingError as err:
+            want = err
+        try:
+            events = _cyclic_reduce(p)
+        except PilingError as err:
+            assert type(err) is type(want) and str(err) == str(want)
+            assert p == Piling.from_stacks(g, p.stacks)
+            q = p.copy()
+            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                _cyclic_reduce(p)
+            assert p == q
+            outcomes.add(type(err))
+        else:
+            assert (p, events) == want
+            outcomes.add(Piling)
     assert outcomes == {Piling, ExtractionStuck, PilingError}
 
 
