@@ -4,22 +4,15 @@ The whole pipeline is: word -> piling -> cyclic reduction -> pyramidalize
 every component of the support graph at once -> extract -> sort the
 letters into one factor per component.  Each factor then carries a
 cyclic normal form, unique for its conjugacy class up to rotation, so
-conjugacy reduces to cyclic string equality per factor.  The conjugacy
-decision first compares the letter counts of the two cyclically
-reduced pilings, and answers NO there when they differ.  It then
-compares the two cyclically reduced pilings, and answers YES there when
-they are equal: pyramidalize and the extraction are functions of the
-piling, so equal pilings give equal factors.  Only pairs whose
-reductions differ are pyramidalized, and their pyramidal pilings are
-compared next, with YES when they are equal: the extraction is injective
-on valid pilings, so the pairs left over are exactly those that need a
-rotation.  Only those are extracted and rotation-compared.  The
-decision owns every piling it builds, so each stage works on it in place
-and none is copied.
+conjugacy reduces to cyclic string equality per factor.  ``_align`` runs
+that pipeline on two words, with exact shortcuts that stop it early; the
+word and the loop decider share it.  It owns every piling it builds, so
+each stage works on it in place and none is copied.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import DefiningGraph, Letter, Word, support_components
 from .piling import Piling, _cyclic_reduce, _drain, _letter_counts, _pyramidalize, pi_star
@@ -172,46 +165,63 @@ def _factor_rotations(fw: CyclicNormalFactors, fv: CyclicNormalFactors) -> list[
     return rotations
 
 
-def _reduce_both(g: DefiningGraph, w: Word, v: Word
-                 ) -> tuple[tuple[Piling, list[Letter]], tuple[Piling, list[Letter]]] | None:
-    """``_reduce`` of w and of v; None when the two cyclically reduced
-    pilings differ in letter counts (``conjugate_in_raag`` says why that
-    is exact)."""
-    rw, rv = _reduce(g, w), _reduce(g, v)
-    if _letter_counts(rw[0]) != _letter_counts(rv[0]):
+def _align(g: DefiningGraph, w: Word, v: Word
+           ) -> tuple[Iterable[Letter], Sequence[Letter],
+                      Callable[[], tuple[Sequence[Letter], CyclicNormalFactors]]] | None:
+    """The conjugacy decision of w and v, as both deciders share it: None
+    for NO, else ``(c_w, c_v, rest)`` with c_w^-1 w c_w = c_v^-1 v c_v.
+    ``rest()``, called at most once, returns a word d and v's factors f
+    with d^-1 (c_v^-1 v c_v) d = concat(f): the word along which both
+    carried bases go on together to v's cyclic normal form, and that
+    form, whose centralizer a loop decision searches.
+
+    The tiers, each exact, cheapest first:
+
+    - Cyclically reduced pilings that differ in letter counts are NO,
+      before anything is pyramidalized or extracted.  Pyramidalize never
+      cancels a tile of a cyclically reduced piling and extraction emits
+      every tile, so the factors hold exactly the reduced piling's
+      letters, and factors that are rotations of each other hold the
+      same letters.
+    - Equal cyclically reduced pilings are YES before either is
+      pyramidalized, with c_w and c_v the letters of the two reductions.
+      Pyramidalize is deterministic, so equal pilings cycle the same
+      letters into equal pyramids and equal factors.  ``rest``
+      pyramidalizes and drains v's piling alone; d is its cycled
+      letters, which are also all of f's events.
+    - Equal pyramidal pilings are YES before either is extracted, with
+      c_w and c_v the two events: equal pilings extract to equal
+      factors, so every rotation is 0.  ``rest`` drains v's pyramid
+      alone; d is empty.
+    - Otherwise both are extracted, and ``_factor_rotations`` finds the
+      rotation t_k that carries each factor u_k of w onto v's; none is
+      NO.  c_w is w's events followed by every prefix u_k[:t_k] (the
+      factors commute, so in any order), chained lazily; c_v is v's
+      events and d is empty.  sigma* is injective on valid pilings
+      (pi*(sigma*(P)) = P), so only pairs that need some t_k > 0 get
+      here."""
+    pw, ew = _reduce(g, w)
+    pv, ev = _reduce(g, v)
+    if _letter_counts(pw) != _letter_counts(pv):
         return None
-    return rw, rv
+    if pw == pv:
+        def rest():
+            yv = _pyramid(g, pv, [])  # its events are the cycled letters alone
+            return yv.events, _drain_factors(g, yv)
+        return ew, ev, rest
+    yw, yv = _pyramid(g, pw, ew), _pyramid(g, pv, ev)
+    if yw.piling == yv.piling:
+        return yw.events, yv.events, lambda: ((), _drain_factors(g, yv))
+    fw, fv = _drain_factors(g, yw), _drain_factors(g, yv)
+    rotations = _factor_rotations(fw, fv)
+    if rotations is None:
+        return None
+    return chain(fw.events, *map(islice, fw.factors, rotations)), fv.events, lambda: ((), fv)
 
 
 def conjugate_in_raag(g: DefiningGraph, w: Word, v: Word) -> bool:
     """Linear-time conjugacy decision: equal component collections and
-    rotation-equal cyclic normal forms factor by factor.
-
-    The cyclically reduced pilings are compared by their letter counts
-    first, and differing counts answer NO before either word is
-    pyramidalized or extracted.  That answer is exact: pyramidalize
-    never cancels a tile of a cyclically reduced piling and extraction
-    emits every tile, so the factors hold exactly the reduced piling's
-    letters, and factors that are rotations of each other hold the same
-    letters.
-
-    Equal cyclically reduced pilings then answer YES before either is
-    pyramidalized.  That answer is exact because pyramidalize is
-    deterministic: equal pilings have equal supports, equal cycled
-    letters and equal pyramids, so equal factors.
-
-    Otherwise both are pyramidalized, and equal pyramidal pilings answer
-    YES before either is extracted.  That answer is exact too: equal
-    pilings have equal components and equal extractions, and every
-    rotation t_k is 0.  Because sigma* is injective on valid pilings
-    (pi*(sigma*(P)) = P), this catches exactly the pairs whose rotations
-    are all 0; only the others are extracted and rotation-compared."""
-    both = _reduce_both(g, w, v)
-    if both is None:
-        return False
-    (pw, ew), (pv, ev) = both
-    if pw == pv:
-        return True
-    yw, yv = _pyramid(g, pw, ew), _pyramid(g, pv, ev)
-    return yw.piling == yv.piling or _factor_rotations(
-        _drain_factors(g, yw), _drain_factors(g, yv)) is not None
+    rotation-equal cyclic normal forms factor by factor, decided by
+    ``_align``.  Its conjugator words stay unbuilt (c_w is a lazy
+    chain), and its ``rest`` is never called."""
+    return _align(g, w, v) is not None

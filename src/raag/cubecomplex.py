@@ -9,29 +9,21 @@ A complex keeps one table: every vertex name gets an integer id, and
 each id has a letter -> next id map built straight from the edges and
 keyed by the interned letters of ``core.letter_row``.  Walks run on it;
 names appear only at the ends of ``trace`` and ``reach_by_centralizer``.
-The decider answers NO as soon as the cyclically reduced loop words
-differ in letter counts.  Equal cyclically reduced pilings need no
-pyramidalize, no extraction and no rotation search: their cycled letters
-are one word, which carries equal bases to equal bases, so each base is
-carried along its own reduction letters first, and equal bases are YES
-there.  Otherwise only the second loop is pyramidalized and extracted,
-and both bases go on along its cycled letters.  Equal pyramidal pilings
-need no extraction and no rotation search either: their factors are
-equal, so each base is carried along its own events.  The answer is YES
-as soon as the first loop's base, carried along one conjugator word, is
-the second loop's carried base, without building the centralizer; only
-when they differ are the second loop's factors extracted for it.
+The loop decider is the word decider's alignment step,
+``conjugacy._align``, plus what loops add: each base vertex is carried
+along its loop's conjugator word, and only when the carried bases differ
+do both go on along the common word to the second loop's cyclic normal
+form, whose centralizer is then searched.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .core import (DefiningGraph, InputError, Letter, Word, _index_of, _read_directives,
                    _read_text, inverse_word, letter_row, parse_word)
-from .conjugacy import (CyclicNormalFactors, _drain_factors, _factor_rotations, _pyramid,
-                        _reduce_both, cyclic_normal_factors)
+from .conjugacy import CyclicNormalFactors, _align, cyclic_normal_factors
 from .centralizer import CentralizerGens, centralizer_generators
 
 
@@ -377,66 +369,26 @@ def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
     """Decide whether two based loops are freely homotopic.
 
     Raise ``NotALoop`` for loop 1, then for loop 2.  Freely homotopic
-    loops have conjugate words, so, as in ``conjugate_in_raag``, loop
-    words whose cyclically reduced pilings differ in letter counts are
-    NO before anything is pyramidalized, extracted or traced: their
-    factors are never rotations of each other.
-
-    Equal cyclically reduced pilings need no rotation search and no
-    pyramidalize of loop 1, because pyramidalize is deterministic: both
-    loops cycle the same letters to the same factors.  So each base is
-    first carried along its own reduction letters only, and equal bases
-    are YES, since one word carries them on together.  Otherwise only
-    loop 2's piling is pyramidalized and extracted, both bases are
-    carried on along its cycled letters, and the centralizer search
-    below decides.
-
-    Unequal reductions pyramidalize both loop words.  Equal pyramidal
-    pilings have equal factors, so every rotation t_k is 0 and neither
-    piling is extracted; unequal ones are extracted, and the rotation
-    t_k that carries each factor u_k of loop 1 onto loop 2's is found;
-    none is NO.  (sigma* is injective on valid pilings, so the unequal
-    ones are exactly the pairs that need some t_k > 0.)  Then carry each
-    base along one conjugator word, tracing it once: loop 1's is its
-    events followed by every prefix u_k[:t_k] that the rotations cycle
-    past, the half of a free-homotopy witness path that starts at base 1
-    (its events alone when the pyramids are equal); loop 2's is its
-    events.  Last, ask
-    whether some centralizer word of the common cyclic normal form
-    traces from the first carried base to the second.  The empty
-    centralizer word leads from a base to itself, so when the carried
-    bases coincide the answer is YES without that search; loop 2's
-    factors, which the centralizer needs, are then extracted only if
-    they were not yet.
-    """
+    loops have conjugate words, so ``conjugacy._align``'s NO is the
+    answer.  Otherwise carry each base along its loop's conjugator word,
+    tracing it once; loop 1's is the half of a free-homotopy witness
+    path that starts at base 1.  The empty centralizer word leads from a
+    base to itself, so carried bases that coincide are YES with nothing
+    more built.  Else both go on along the common word that ``rest``
+    gives, to loop 2's cyclic normal form, and the answer is whether
+    some word of its centralizer traces from the first carried base to
+    the second."""
     _require_loop(bw1)
     _require_loop(bw2)
-    both = _reduce_both(g, bw1.word, bw2.word)
-    if both is None:
+    aligned = _align(g, bw1.word, bw2.word)
+    if aligned is None:
         return False
-    (p1, e1), (p2, e2) = both
-    f2 = None
-    if p1 == p2:  # equal reductions: the same cycled letters and factors follow
-        b1, b2 = _carry(cx, bw1.base, e1), _carry(cx, bw2.base, e2)
-        if b1 == b2:
-            return True
-        y2 = _pyramid(g, p2, [])  # its events are the cycled letters alone
-        b1, b2 = _carry(cx, b1, y2.events), _carry(cx, b2, y2.events)
-    else:
-        y1, y2 = _pyramid(g, p1, e1), _pyramid(g, p2, e2)
-        if y1.piling == y2.piling:  # equal pyramids: every rotation is 0
-            c1 = y1.events
-        else:
-            f1, f2 = _drain_factors(g, y1), _drain_factors(g, y2)
-            rotations = _factor_rotations(f1, f2)
-            if rotations is None:
-                return False
-            c1 = tuple(chain(f1.events, *(u[:t] for u, t in zip(f1.factors, rotations))))
-        b1, b2 = _carry(cx, bw1.base, c1), _carry(cx, bw2.base, y2.events)
+    c1, c2, rest = aligned
+    b1, b2 = _carry(cx, bw1.base, c1), _carry(cx, bw2.base, c2)
     if b1 == b2:
         return True
-    if f2 is None:
-        f2 = _drain_factors(g, y2)
+    d, f2 = rest()
+    b1, b2 = _carry(cx, b1, d), _carry(cx, b2, d)
     return b2 in reach_by_centralizer(cx, b1, centralizer_generators(g, f2))
 
 

@@ -21,7 +21,7 @@ from raag import (
     pi_star,
 )
 import raag.conjugacy
-from raag.conjugacy import _factor_rotations, _pyramid, _reduce_both
+from raag.conjugacy import _align, _factor_rotations, _pyramid, _reduce
 from raag.piling import _letter_counts
 from .conftest import (is_cyclic_normal, is_normal, random_equivalent_rewrite, random_graph,
                        random_reduced_word, random_word)
@@ -278,9 +278,9 @@ def test_equal_pyramids_decided_as_the_rotation_search():
         got = conjugate_in_raag(g, w, v)
         assert got == (_factor_rotations(cyclic_normal_factors(g, w),
                                          cyclic_normal_factors(g, v)) is not None), (g, w, v)
-        both = _reduce_both(g, w, v)
-        seen.add((None if both is None
-                  else _pyramid(g, *both[0]).piling == _pyramid(g, *both[1]).piling, got))
+        rw, rv = _reduce(g, w), _reduce(g, v)
+        seen.add((None if _letter_counts(rw[0]) != _letter_counts(rv[0])
+                  else _pyramid(g, *rw).piling == _pyramid(g, *rv).piling, got))
     assert (True, False) not in seen
     assert {(True, True), (False, True), (False, False), (None, False)} <= seen
 
@@ -313,12 +313,76 @@ def test_equal_reductions_decided_as_the_rotation_search(monkeypatch):
         calls = len(pyramidalized)
         assert got == (_factor_rotations(cyclic_normal_factors(g, w),
                                          cyclic_normal_factors(g, v)) is not None), (g, w, v)
-        both = _reduce_both(g, w, v)
-        equal = None if both is None else both[0][0] == both[1][0]
+        (pw, _), (pv, _) = _reduce(g, w), _reduce(g, v)
+        equal = None if _letter_counts(pw) != _letter_counts(pv) else pw == pv
         if equal:
             assert got and calls == 0, (g, w, v)
         seen.add((equal, got))
     assert {(True, True), (False, True), (False, False), (None, False)} <= seen
+
+
+def test_align_conjugators_reach_the_common_form(monkeypatch):
+    """Every YES of ``_align`` holds what it claims, checked with
+    ``pi_star`` alone: c_w^-1 w c_w = c_v^-1 v c_v, and the word d that
+    ``rest()`` returns carries that element to the factors f it returns,
+    d^-1 (c_v^-1 v c_v) d = concat(f).  On random graphs of 2-65
+    generators, and on inputs of 2k-4k letters that no oracle reaches:
+    the path family rotated and conjugated, and a random reduced word
+    rotated at 64 generators.  The tier is read from the kernel calls
+    ``_align`` makes (none pyramidalized for equal reductions, nothing
+    drained for equal pyramids), and all three occur; ``rest`` drains
+    v's piling alone, or nothing after the rotation search."""
+    calls = []
+    for name in ("_pyramidalize", "_drain"):
+        real = getattr(raag.conjugacy, name)
+        monkeypatch.setattr(raag.conjugacy, name,
+                            lambda p, name=name, real=real: calls.append(name) or real(p))
+    tiers = {(0, 0): "reductions", (2, 0): "pyramids", (2, 2): "rotation"}
+
+    def check(g, w, v):
+        calls.clear()
+        aligned = _align(g, w, v)
+        if aligned is None:
+            return None
+        tier = tiers[calls.count("_pyramidalize"), calls.count("_drain")]
+        cw, cv, rest = aligned
+        cw, cv = tuple(cw), tuple(cv)
+        left = inverse_word(cw) + w + cw
+        right = inverse_word(cv) + v + cv
+        assert pi_star(g, left + inverse_word(right)).signed_count == 0, (g, w, v)
+        calls.clear()
+        d, f = rest()
+        assert calls.count("_drain") == (tier != "rotation")
+        assert calls.count("_pyramidalize") <= (tier == "reductions")
+        assert (pi_star(g, inverse_word(d) + right + d + inverse_word(f.concat())).signed_count
+                == 0), (g, w, v)
+        return tier
+
+    rng = random.Random(79)
+    seen = []
+    for _ in range(300):
+        g = random_graph(rng, rng.randrange(2, 66))
+        w = random_word(g, rng.randrange(1, 40), rng)
+        t = rng.randrange(len(w))
+        v = rng.choice((
+            w,
+            w[t:] + w[:t],
+            (c := random_word(g, rng.randrange(1, 6), rng)) + w + inverse_word(c),
+            tuple(rng.sample(w, len(w)))))
+        seen.append(check(g, w, v))
+    assert {"reductions", "pyramids", "rotation", None} <= set(seen)
+
+    names = [f"a{i}" for i in range(1, 7)]  # a path: only neighbours do not commute
+    path = build_graph(names, [(a, b) for i, a in enumerate(names) for b in names[i + 2:]])
+    w = parse_word(path, "a6 a5 a4 a3 a2 " * 400 + "a1")
+    t = len(w) // 3
+    c = parse_word(path, "a3 a5")
+    assert check(path, w, w[t:] + w[:t]) == "pyramids"
+    assert check(path, w, c + w + inverse_word(c)) == "reductions"
+    g = random_graph(rng, 64)
+    w = random_reduced_word(g, 2000, rng)
+    t = len(w) // 3
+    assert check(g, w, w[t:] + w[:t]) == "rotation"
 
 
 def test_free_group_conjugacy():

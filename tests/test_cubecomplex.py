@@ -33,9 +33,10 @@ from raag import (
     reach_by_preferred_enumeration,
     validate,
 )
-from raag.conjugacy import _pyramid, _reduce_both
+from raag.conjugacy import _pyramid, _reduce
 from raag.core import letter_row, letter_table
 from raag.cubecomplex import ValidationReport, trace
+from raag.piling import _letter_counts
 from .conftest import random_word
 
 FREE2 = build_graph(("a1", "a2"), [])
@@ -649,11 +650,11 @@ def test_equal_pyramids_with_apart_bases_drain_one_piling(monkeypatch):
         if all(trace(cx, x, u) == x for x, u in pair):
             cases.append((g, cx, pair))
     for g, cx, ((x, w), (y, v)) in cases:
-        both = _reduce_both(g, w, v)
-        if both is None:
+        r1, r2 = _reduce(g, w), _reduce(g, v)
+        if _letter_counts(r1[0]) != _letter_counts(r2[0]):
             continue
-        equal_reductions = both[0][0] == both[1][0]
-        p1, p2 = _pyramid(g, *both[0]), _pyramid(g, *both[1])
+        equal_reductions = r1[0] == r2[0]
+        p1, p2 = _pyramid(g, *r1), _pyramid(g, *r2)
         if (p1.piling != p2.piling
                 or trace(cx, x, p1.events) == trace(cx, y, p2.events)):
             continue
@@ -697,10 +698,10 @@ def test_equal_reductions_decided_as_the_oracle(monkeypatch):
             cases.append((g, cx, pair))
     seen = []
     for g, cx, ((x, w), (y, v)) in cases:
-        both = _reduce_both(g, w, v)
-        if both is None or both[0][0] != both[1][0]:
+        (p1, e1), (p2, e2) = _reduce(g, w), _reduce(g, v)
+        if p1 != p2:  # unequal letter counts or unequal reductions
             continue
-        met = trace(cx, x, both[0][1]) == trace(cx, y, both[1][1])
+        met = trace(cx, x, e1) == trace(cx, y, e2)
         bw1, bw2 = based_word(cx, x, w), based_word(cx, y, v)
         pyramidalized.clear()
         drained.clear()

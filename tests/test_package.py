@@ -1,7 +1,9 @@
 """The package root exports its API lazily: each name is loaded from its
 home module on first use."""
 import ast
+import contextlib
 import importlib
+import io
 import re
 from pathlib import Path
 
@@ -54,6 +56,18 @@ def test_lazy_exports_match_their_home_modules():
     pieces = re.findall(r"`(\w+)`", re.search(
         r"Lower-level pieces \((.*?)\) are exported", text, re.S).group(1))
     assert pieces and set(pieces) <= set(raag.__all__)
+
+
+def test_readme_library_snippet_prints_its_comments():
+    """The README's Library use snippet runs, and each line it prints is
+    the ``# ...`` comment of the ``print`` call that printed it."""
+    text = README.read_text(encoding="utf-8")
+    snippet = re.search(r"## Library use\n\n```python\n(.*?)```", text, re.S).group(1)
+    want = [m.group(1) for m in re.finditer(r"^print\(.*\)\s+# (.*)$", snippet, re.M)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(snippet, {})
+    assert want and out.getvalue().splitlines() == want
 
 
 def test_every_export_is_used_or_documented():
