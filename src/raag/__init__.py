@@ -15,12 +15,12 @@ _HOME = {name: home for home, names in (
                "PilingTooLarge cyclic_reduce is_cyclically_reduced pi_star "
                "pyramidalize sigma_star"),
     ("conjugacy", "CyclicNormalFactors conjugate_in_raag cyclic_equal "
-                  "cyclic_normal_factors kmp_first_occurrence normal_form"),
+                  "cyclic_normal_factors normal_form"),
     ("centralizer", "CentralizerGens centralizer_generators minimal_root"),
     ("cubecomplex", "BasedWord ComplexSyntaxError CubeComplexMap Edge NotALoop "
                     "ReplayFailure UntraceableWord ValidationReport based_word "
-                    "groupoid_conjugate load_complex normalize_based "
-                    "parse_based_word parse_complex reach_by_centralizer trace validate"),
+                    "groupoid_conjugate load_complex parse_based_word parse_complex "
+                    "reach_by_centralizer trace validate"),
     ("oracle", "BoundExceeded loop_class_key oracle_conjugate oracle_equal "
                "oracle_groupoid_conjugate reach_by_preferred_enumeration"),
 ) for name in names.split()}

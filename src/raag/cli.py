@@ -23,7 +23,7 @@ import time
 from . import __version__
 from .core import InputError, format_word, load_presentation, parse_word
 from .piling import pi_star
-from .conjugacy import _factor_rotations, cyclic_normal_factors, normal_form
+from .conjugacy import conjugate_in_raag, cyclic_normal_factors, normal_form
 
 
 def _emit(args, payload, human) -> None:
@@ -72,12 +72,8 @@ def cmd_word_problem(args):
 
 def cmd_conjugate(args):
     g = load_presentation(args.group)
-    fw = cyclic_normal_factors(g, parse_word(g, args.word))
-    fv = cyclic_normal_factors(g, parse_word(g, args.other))
-    ans = _factor_rotations(fw, fv) is not None
-    _emit(args, lambda: {"conjugate": ans, "left": _factor_report(g, fw),
-                         "right": _factor_report(g, fv)},
-          lambda: "YES" if ans else "NO")
+    ans = conjugate_in_raag(g, parse_word(g, args.word), parse_word(g, args.other))
+    _emit(args, lambda: {"conjugate": ans}, lambda: "YES" if ans else "NO")
 
 
 def cmd_centralizer(args):
@@ -111,9 +107,7 @@ def cmd_validate_complex(args):
 
     g = load_presentation(args.group)
     report = validate(load_complex(args.complex, g), g)
-    keys = ("ok", "determinism_ok", "labels_ok", "vertices_ok", "squares_ok",
-            "convexity_checked", "convexity_ok", "problems")
-    _emit(args, lambda: {k: getattr(report, k) for k in keys}, report.summary)
+    _emit(args, lambda: {"ok": report.ok, **report._asdict()}, report.summary)
 
 
 def cmd_groupoid_conjugate(args):

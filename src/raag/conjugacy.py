@@ -115,38 +115,30 @@ def _prefix_function(pattern) -> list[int]:
     return fail
 
 
-def kmp_first_occurrence(text, pattern):
-    """Index of the first occurrence of pattern in text, or None.
-    Works on any sequence of comparable items; O(|text|+|pattern|)."""
-    if not pattern:
-        return 0
-    fail = _prefix_function(pattern)
-    k = 0
-    for i, item in enumerate(text):
-        while k and item != pattern[k]:
-            k = fail[k - 1]
-        if item == pattern[k]:
-            k += 1
-            if k == len(pattern):
-                return i - k + 1
-    return None
-
-
 def cyclic_equal(u: Word, v: Word):
     """Smallest t >= 0 with rotate_left(u, t) == v, else None.
 
-    KMP over the letters, rather than ``str.find`` on a code string per
-    word: CPython's ``str.find`` is quadratic below its two-way cutoff.
-    On a^(L-1) b it read 340-510 ns/char at L = 2,000 on 3.11, against
-    6 ns/char from L = 2,400 on, and still 349 ns/char at L = 4,000 on
-    3.10.  Spelling the letters as a code string also costs about
-    115 ns/letter, so it would win only about 2x over KMP."""
+    A KMP scan for v in u + u[:-1], over the letters, rather than
+    ``str.find`` on a code string per word: CPython's ``str.find`` is
+    quadratic below its two-way cutoff.  On a^(L-1) b it read 340-510
+    ns/char at L = 2,000 on 3.11, against 6 ns/char from L = 2,400 on,
+    and still 349 ns/char at L = 4,000 on 3.10.  Spelling the letters as
+    a code string also costs about 115 ns/letter, so it would win only
+    about 2x over KMP."""
     if len(u) != len(v):
         return None
     if not u:
         return 0
-    doubled = u + u[:-1]
-    return kmp_first_occurrence(doubled, v)
+    fail = _prefix_function(v)
+    k = 0
+    for i, item in enumerate(u + u[:-1]):
+        while k and item != v[k]:
+            k = fail[k - 1]
+        if item == v[k]:
+            k += 1
+            if k == len(v):
+                return i - k + 1
+    return None
 
 
 def _factor_rotations(fw: CyclicNormalFactors, fv: CyclicNormalFactors) -> list[int] | None:

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 
 from .core import (DefiningGraph, InputError, Letter, Word, _index_of, _read_directives,
                    _read_text, inverse_word, letter_row, parse_word)
-from .conjugacy import CyclicNormalFactors, _align, cyclic_normal_factors
+from .conjugacy import _align
 from .centralizer import CentralizerGens, centralizer_generators
 
 
@@ -327,15 +327,6 @@ def _carry(cx: CubeComplexMap, base: str, word: Word) -> str:
     if end is None:
         raise ReplayFailure(f"conjugator letters untraceable from {base}")
     return end
-
-
-def normalize_based(cx: CubeComplexMap, g: DefiningGraph,
-                    bw: BasedWord) -> tuple[str, CyclicNormalFactors]:
-    """Cyclic-normal-factor the loop word and carry the base vertex
-    along the conjugator word ``events``."""
-    _require_loop(bw)
-    factors = cyclic_normal_factors(g, bw.word)
-    return _carry(cx, bw.base, factors.events), factors
 
 
 def reach_by_centralizer(cx: CubeComplexMap, x_start: str,

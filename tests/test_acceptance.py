@@ -28,7 +28,6 @@ from raag import (
     loop_class_key,
     minimal_root,
     normal_form,
-    normalize_based,
     oracle_conjugate,
     oracle_groupoid_conjugate,
     parse_complex,
@@ -184,7 +183,8 @@ def main_loop_key(cx, g, bw):
     """Canonical free-homotopy key computed by the production pipeline:
     lex-minimal factor rotations, base carried along, orbit minimum of
     the centralizer reachability."""
-    base, factors = normalize_based(cx, g, bw)
+    factors = cyclic_normal_factors(g, bw.word)
+    base = trace(cx, bw.base, factors.events)
     canon = []
     for u in factors.factors:
         m = min(u[i:] + u[:i] for i in range(len(u)))

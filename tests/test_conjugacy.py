@@ -13,7 +13,6 @@ from raag import (
     cyclic_reduce,
     inverse_word,
     is_cyclically_reduced,
-    kmp_first_occurrence,
     minimal_root,
     normal_form,
     oracle_conjugate,
@@ -125,19 +124,19 @@ def test_cyclic_normal_factors_identity(example_graph):
     assert factors.concat() == ()
 
 
-def test_kmp_first_occurrence():
-    assert kmp_first_occurrence("abcabd", "abd") == 3
-    assert kmp_first_occurrence("aaaa", "aab") is None
-    assert kmp_first_occurrence("abc", "") == 0
-    assert kmp_first_occurrence((1, 2, 1, 2, 3), (1, 2, 3)) == 2
+def least_rotation(u, v):
+    return next((t for t in range(max(len(u), 1)) if u[t:] + u[:t] == v), None)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.text(alphabet="ab", max_size=12), st.text(alphabet="ab", max_size=4))
-def test_kmp_matches_str_find(text, pattern):
-    got = kmp_first_occurrence(text, pattern)
-    want = text.find(pattern)
-    assert got == (None if want < 0 else want)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from("ab"), max_size=12).map(tuple),
+       st.lists(st.sampled_from("ab"), max_size=12).map(tuple), st.integers(0, 11))
+def test_cyclic_equal_is_the_least_rotation(u, v, t):
+    """The least t with u[t:] + u[:t] == v, found by brute force, or
+    None (always, for lengths that differ); against an arbitrary v and
+    against a rotation of u."""
+    for other in (v, u[t:] + u[:t]):
+        assert cyclic_equal(u, other) == least_rotation(u, other), other
 
 
 class Counted:
@@ -177,8 +176,6 @@ def test_rotation_compare_is_linear_on_the_periodic_worst_case():
         changed = v[:L // 4] + (c,) + v[L // 4 + 1:]
         doubled = w + w[:-1]
         for pattern, want in ((v, L // 2), (changed, None)):
-            got, calls = comparisons(kmp_first_occurrence, doubled, pattern)
-            assert got == want and calls <= 3 * (len(doubled) + L)
             got, calls = comparisons(cyclic_equal, w, pattern)
             assert got == want and calls <= 3 * (len(doubled) + L)
         for word, root in ((w, (w, 1)), (changed, (changed, 1)), (w + w, (w, 2))):

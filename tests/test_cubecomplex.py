@@ -24,7 +24,6 @@ from raag import (
     cyclic_normal_factors,
     groupoid_conjugate,
     inverse_word,
-    normalize_based,
     oracle_groupoid_conjugate,
     parse_based_word,
     parse_complex,
@@ -218,17 +217,19 @@ def test_based_cycle():
 
 
 def test_normalize_based_moves_base():
+    """A loop's base carried along the events of its cyclic normal
+    factors."""
     bw = based_word(TRAP, "x1", parse_word(FREE2, "a2 a1 a2^-1"))
-    base, factors = normalize_based(TRAP, FREE2, bw)
-    assert base == "x2"
-    assert factors.factors == (parse_word(FREE2, "a1"),)
+    f = cyclic_normal_factors(FREE2, bw.word)
+    assert trace(TRAP, bw.base, f.events) == "x2"
+    assert f.factors == (parse_word(FREE2, "a1"),)
 
 
 def test_normalize_based_identity_loop():
     bw = based_word(TRAP, "x1", parse_word(FREE2, "a1 a1^-1"))
-    base, factors = normalize_based(TRAP, FREE2, bw)
-    assert base == "x1"
-    assert factors.factors == ()
+    f = cyclic_normal_factors(FREE2, bw.word)
+    assert trace(TRAP, bw.base, f.events) == "x1"
+    assert f.factors == ()
 
 
 @pytest.fixture(params=["bfs", "enumerate"])
