@@ -23,7 +23,7 @@ import time
 from . import __version__
 from .core import InputError, format_word, load_presentation, parse_word
 from .piling import pi_star
-from .conjugacy import conjugate_in_raag, cyclic_normal_factors, normal_form
+from .conjugacy import _factor_rotations, cyclic_normal_factors, normal_form
 
 
 def _emit(args, payload, human) -> None:
@@ -72,8 +72,12 @@ def cmd_word_problem(args):
 
 def cmd_conjugate(args):
     g = load_presentation(args.group)
-    ans = conjugate_in_raag(g, parse_word(g, args.word), parse_word(g, args.other))
-    _emit(args, lambda: {"conjugate": ans}, lambda: "YES" if ans else "NO")
+    fw = cyclic_normal_factors(g, parse_word(g, args.word))
+    fv = cyclic_normal_factors(g, parse_word(g, args.other))
+    ans = _factor_rotations(fw, fv) is not None
+    _emit(args, lambda: {"conjugate": ans, "left": _factor_report(g, fw),
+                         "right": _factor_report(g, fv)},
+          lambda: "YES" if ans else "NO")
 
 
 def cmd_centralizer(args):
