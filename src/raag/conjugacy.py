@@ -1,13 +1,13 @@
 """Normal forms, cyclic normal forms, and the conjugacy decision.
 
 The whole pipeline is: word -> piling -> cyclic reduction -> pyramidalize
-every component of the support graph at once -> extract -> sort the
-letters into one factor per component.  Each factor then carries a
-cyclic normal form, unique for its conjugacy class up to rotation, so
-conjugacy reduces to cyclic string equality per factor.  ``_align`` runs
-that pipeline on two words, with exact shortcuts that stop it early; the
-word and the loop decider share it.  It owns every piling it builds, so
-each stage works on it in place and none is copied.
+every component of the support graph at once -> extract each
+component's stacks alone, one factor per component.  Each factor then
+carries a cyclic normal form, unique for its conjugacy class up to
+rotation, so conjugacy reduces to cyclic string equality per factor.
+``_align`` runs that pipeline on two words, with exact shortcuts that
+stop it early; the word and the loop decider share it.  It owns every
+piling it builds, so each stage works on it in place and none is copied.
 """
 from __future__ import annotations
 
@@ -15,17 +15,17 @@ from itertools import chain, islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import DefiningGraph, Letter, Word, support_components
-from .piling import Piling, _cyclic_reduce, _drain, _letter_counts, _pyramidalize, pi_star
+from .piling import (Piling, _cyclic_reduce, _drain, _extract, _letter_counts, _pyramidalize,
+                     pi_star)
 
 
 class CyclicNormalFactors(NamedTuple):
     """Mutually commuting cyclic normal forms, one per connected
     component of the support graph, with the letters the cycling moved:
-    the bottom letters of the cyclic reductions first, then the cycled
-    letters of each factor in component order, each factor's in the
-    order they were cycled.  ``events`` is a conjugator c with
-    pi(c^-1 w c) = pi(concat()) for the input word w, so a loop's base
-    vertex is carried along c."""
+    the bottom letters of the cyclic reduction, then the cycled letters,
+    each as ``cyclic_reduce`` and ``pyramidalize`` return them.
+    ``events`` is a conjugator c with pi(c^-1 w c) = pi(concat()) for the
+    input word w, so a loop's base vertex is carried along c."""
 
     factors: tuple[Word, ...]
     components: tuple[tuple[int, ...], ...]
@@ -40,12 +40,11 @@ def normal_form(g: DefiningGraph, w: Word) -> Word:
 
 
 def cyclic_normal_factors(g: DefiningGraph, w: Word) -> CyclicNormalFactors:
-    """Pyramidalize and extract all components of the cyclically reduced
-    piling together.  The components commute and never compete for a
-    stack, so each component's letters come out of the joint extraction
-    and the joint cycling in the order they would alone; sorting them by
-    component gives the factors and the events."""
-    return _drain_factors(g, _pyramid(g, *_reduce(g, w)))
+    """Pyramidalize all components of the cyclically reduced piling
+    together, then extract each component's factor alone.  Components
+    never share a stack, so factor k is exactly the letters that an
+    extraction of component k's stacks emits, in its own order."""
+    return _drain_factors(_pyramid(g, *_reduce(g, w)))
 
 
 def _reduce(g: DefiningGraph, w: Word) -> tuple[Piling, list[Letter]]:
@@ -69,36 +68,22 @@ def _pyramid(g: DefiningGraph, p: Piling, events: list[Letter]) -> _Pyramid:
     """The first step of ``cyclic_normal_factors`` from the cyclic
     reduction on: p is the cyclically reduced piling, pyramidalized in
     place, and events the letters of its reduction, to which the cycled
-    letters of each component are appended."""
+    letters are appended as ``pyramidalize`` returns them."""
     if p.is_empty():
         return _Pyramid((), p, tuple(events))
     components = support_components(g, p.support())
-    cycled, _ = _pyramidalize(p)
-    for part in _by_component(g, components, cycled):
-        events += part
+    events += _pyramidalize(p, {c[0] for c in components})[0]
     return _Pyramid(components, p, tuple(events))
 
 
-def _drain_factors(g: DefiningGraph, pyr: _Pyramid) -> CyclicNormalFactors:
-    """The second step: extract the pyramidal piling, emptying it, and
-    sort its letters into one factor per component."""
-    factors = tuple(map(tuple, _by_component(g, pyr.components, _drain(pyr.piling))))
+def _drain_factors(pyr: _Pyramid) -> CyclicNormalFactors:
+    """The second step: extract the pyramidal piling one component at a
+    time, skipping the stacks of all the others, then check with
+    ``_drain`` that nothing is left."""
+    stacks = frozenset(chain.from_iterable(pyr.components))
+    factors = tuple(tuple(_extract(pyr.piling, stacks.difference(c))) for c in pyr.components)
+    _drain(pyr.piling)
     return CyclicNormalFactors(factors, pyr.components, pyr.events)
-
-
-def _by_component(g: DefiningGraph, components, w) -> list[Sequence[Letter]]:
-    """The letters of w, one sequence per component, each in w's order;
-    one component takes all of w as it is, with no pass over it."""
-    if len(components) == 1:
-        return [w]
-    parts: list[list[Letter]] = [[] for _ in components]
-    put = [None] * (g.n + 1)  # generator -> append to its component's list
-    for part, comp in zip(parts, components):
-        for i in comp:
-            put[i] = part.append
-    for l in w:
-        put[l[0]](l)
-    return parts
 
 
 def _prefix_function(pattern) -> list[int]:
@@ -199,12 +184,12 @@ def _align(g: DefiningGraph, w: Word, v: Word
     if pw == pv:
         def rest():
             yv = _pyramid(g, pv, [])  # its events are the cycled letters alone
-            return yv.events, _drain_factors(g, yv)
+            return yv.events, _drain_factors(yv)
         return ew, ev, rest
     yw, yv = _pyramid(g, pw, ew), _pyramid(g, pv, ev)
     if yw.piling == yv.piling:
-        return yw.events, yv.events, lambda: ((), _drain_factors(g, yv))
-    fw, fv = _drain_factors(g, yw), _drain_factors(g, yv)
+        return yw.events, yv.events, lambda: ((), _drain_factors(yv))
+    fw, fv = _drain_factors(yw), _drain_factors(yv)
     rotations = _factor_rotations(fw, fv)
     if rotations is None:
         return None

@@ -205,11 +205,12 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     distinct commuting generators be a corner of some closing square.
     Each corner a closing square provides is such a pair: its two
     letters run along sides that start or end at the vertex, so both
-    are keys of the walk table there, and their labels commute.  So a
-    vertex is convex exactly when it has as many distinct corners as
-    commuting direction pairs.  The corners are counted per vertex, the
-    pairs once per distinct tuple of directions, and only at a vertex
-    that falls short are its pairs walked, to name the missing ones."""
+    are keys of the walk table there, and their labels commute.  So the
+    corners provided are some of the commuting direction pairs, and the
+    complex is convex exactly when they are as many as all those pairs.
+    The pairs are counted once per distinct tuple of directions, and
+    only when the corners fall short are they walked, to name the
+    missing ones."""
     problems: list[str] = []
 
     vertex_set = set(cx.vertices)
@@ -245,31 +246,23 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
             _repeats("edge id", (e.eid for e in cx.edges), problems)
     if convexity_checked and squares_ok and labels_ok and vertices_ok:
         provided, squares_ok = _square_corners(cx, g, by_id, problems)
-        convexity_ok = True
-        m, n_ids = 2 * g.n + 2, len(cx._names)
-        have = Counter(map(n_ids.__rmod__, provided))
-        need: dict[tuple[Letter, ...], int] = {}
         # labels are range-checked by now, so commutation is a set lookup
         noncommute = g.noncommute
-        ids, out = cx._ids, cx._out
-        for x in cx.vertices:
-            k = ids[x]
-            directions = tuple(out[k])
-            pairs = need.get(directions)
-            if pairs is None:
-                pairs = need[directions] = sum(
-                    d1.gen != d2.gen and d2.gen not in noncommute[d1.gen]
-                    for d1, d2 in combinations(directions, 2))
-            if have[k] == pairs:
-                continue
-            for d1, d2 in combinations(directions, 2):
-                if d1.gen == d2.gen or d2.gen in noncommute[d1.gen]:
-                    continue
-                if _corner(k, d1, d2, m, n_ids) not in provided:
-                    convexity_ok = False
-                    problems.append(
-                        f"convexity violation at vertex {x}: commuting "
-                        f"directions {d1} and {d2} have no square corner")
+
+        def commuting(directions):
+            return [(d1, d2) for d1, d2 in combinations(directions, 2)
+                    if d1.gen != d2.gen and d2.gen not in noncommute[d1.gen]]
+
+        need = sum(k * len(commuting(d)) for d, k in Counter(map(tuple, cx._out)).items())
+        convexity_ok = len(provided) == need
+        if not convexity_ok:
+            m, n_ids = 2 * g.n + 2, len(cx._names)
+            for x in cx.vertices:
+                k = cx._ids[x]
+                problems += [f"convexity violation at vertex {x}: commuting "
+                             f"directions {d1} and {d2} have no square corner"
+                             for d1, d2 in commuting(cx._out[k])
+                             if _corner(k, d1, d2, m, n_ids) not in provided]
     elif convexity_checked:
         squares_ok = False
 

@@ -31,9 +31,10 @@ loops on one packed *bottom field*: the largest-index extraction loop
 (``_extract``), which skips a given set of stacks, and the pair loop of
 ``_cyclic_reduce``.  Each public operation on a piling is a copy
 followed by a private form that works in place, for callers that own a
-fresh piling: ``_drain`` is ``sigma_star``, ``_cyclic_reduce``
-``cyclic_reduce`` and ``_pyramidalize`` ``pyramidalize`` without the
-copy.  The deciders own every piling they build, so they copy none.
+fresh piling: ``_drain`` is ``sigma_star`` and ``_cyclic_reduce``
+``cyclic_reduce`` without the copy; ``_pyramidalize`` also skips
+``pyramidalize``'s input checks and takes the apexes from its caller.
+The deciders own every piling they build, so they copy none.
 
 A tile can be removed from the bottom exactly when its stack starts
 with a signed bead (in a valid piling its non-commuting neighbours then
@@ -471,20 +472,19 @@ def pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
     time.  The passes number at most the largest eccentricity of an apex
     in its component, which is below n; a pass beyond n raises
     PilingError instead of looping on."""
-    q = p.copy()
-    events, passes = _pyramidalize(q)
-    return q, events, passes
-
-
-def _pyramidalize(p: Piling) -> tuple[list[Letter], int]:
-    """``pyramidalize`` in place: p becomes the pyramidal piling, and
-    the cycled letters and the number of passes are returned.  The two
-    checks on the input raise before p is changed."""
     if p.is_empty():
         raise EmptyPiling("cannot pyramidalize the empty piling")
     if not is_cyclically_reduced(p):
         raise NotCyclicallyReduced("input piling admits a cyclic reduction")
-    apexes = {c[0] for c in support_components(p.graph, p.support())}
+    q = p.copy()
+    events, passes = _pyramidalize(q, {c[0] for c in support_components(p.graph, p.support())})
+    return q, events, passes
+
+
+def _pyramidalize(p: Piling, apexes: Collection[int]) -> tuple[list[Letter], int]:
+    """``pyramidalize`` in place on a nonempty cyclically reduced piling
+    p, given the apex of each component: p becomes the pyramidal piling,
+    and the cycled letters and the number of passes are returned."""
     events: list[Letter] = []
     passes = 0
     while True:

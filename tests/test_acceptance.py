@@ -353,6 +353,8 @@ def count_kernel_letters(monkeypatch) -> Counter:
 
     count(raag.piling, "_fold", lambda args, out: len(args[1]))
     count(raag.piling, "_extract", lambda args, out: len(out))
+    # the factors are extracted where the deciders look ``_extract`` up
+    count(raag.conjugacy, "_extract", lambda args, out: len(out))
     # wrapped where the deciders look it up: the in-place form, which
     # returns the removed pairs' bottom letters
     count(raag.conjugacy, "_cyclic_reduce", lambda args, out: 2 * len(out), "cyclic_reduce")

@@ -246,8 +246,8 @@ def readme_cli_lines() -> list[str]:
 
 
 def test_readme_runs_every_subcommand():
-    """CI runs each ``raag`` line of the README's CLI section, so each
-    subcommand must have one."""
+    """``test_readme_lines_print_their_answers`` runs each ``raag`` line
+    of the README's CLI section, so each subcommand must have one."""
     named = {line.split()[1] for line in readme_cli_lines()}
     sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert named == set(sub.choices)
@@ -256,16 +256,24 @@ def test_readme_runs_every_subcommand():
 
 def test_readme_lines_print_their_answers(capsys, monkeypatch):
     """Each README CLI line completes; one that ends in a ``# YES`` or
-    ``# NO`` comment prints that answer first."""
+    ``# NO`` comment prints that answer first, and with ``--json`` one
+    object whose only top-level boolean is that answer."""
     monkeypatch.chdir(ROOT)
     answered = 0
     for line in readme_cli_lines():
         command, _, comment = line.partition("#")
-        code, out, err = run(capsys, *shlex.split(command)[1:], "--no-timing")
+        argv = shlex.split(command)[1:]
+        code, out, err = run(capsys, *argv, "--no-timing")
         assert (code, err) == (0, ""), line
         expected = comment.split()[:1]
         if expected in (["YES"], ["NO"]):
             assert out.split()[:1] == expected, line
+            code, out, err = run(capsys, *argv, "--json", "--no-timing")
+            assert (code, err) == (0, ""), line
+            answer = json.loads(out)
+            assert isinstance(answer, dict), line
+            bools = [v for v in answer.values() if isinstance(v, bool)]
+            assert bools == [expected == ["YES"]], line
             answered += 1
     assert answered == 4
 

@@ -18,9 +18,12 @@ from raag import (
     oracle_conjugate,
     parse_word,
     pi_star,
+    pyramidalize,
+    sigma_star,
 )
 import raag.conjugacy
 from raag.conjugacy import _align, _factor_rotations, _pyramid, _reduce
+from raag.core import support_components
 from raag.piling import _letter_counts
 from .conftest import (is_cyclic_normal, is_normal, random_equivalent_rewrite, random_graph,
                        random_reduced_word, random_word)
@@ -106,15 +109,55 @@ def test_cyclic_normal_factors_split(example_graph):
     assert conjugate_in_raag(g, parse_word(g, "a1 a4 a1"), factors.concat())
 
 
-def test_cyclic_normal_factors_events_in_component_order():
-    """F2 x F2: both components cycle in the same joint pass, a4 before
-    a2, and the events still list component {a1, a2} first."""
+def by_component(components, w):
+    """The letters of w, one tuple per component, each in w's order."""
+    return tuple(tuple(l for l in w if l.gen in c) for c in components)
+
+
+def block_graph(rng: random.Random, k: int):
+    """k blocks of 1-3 generators: pairs in different blocks commute,
+    pairs inside a block commute with one probability drawn per graph."""
+    sizes = [rng.randrange(1, 4) for _ in range(k)]
+    names = [f"a{i}" for i in range(1, sum(sizes) + 1)]
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    density = rng.random()
+    pairs = [(a, b) for i, a in enumerate(names) for j, b in enumerate(names[i + 1:], i + 1)
+             if block[i] != block[j] or rng.random() < density]
+    return build_graph(names, pairs)
+
+
+def test_cyclic_normal_factors_are_the_component_extractions():
+    """Each factor is its component's letters of the pyramidal piling's
+    normal word, in that word's order; the components are those of the
+    pyramidal piling's support; and ``events`` is ``cyclic_reduce``'s
+    letters followed by ``pyramidalize``'s, as each returns them.  First
+    on F2 x F2, where both components cycle in one joint pass, a4 before
+    a2, then on random graphs of 1-8 blocks whose supports have every
+    number of components from 1 to 8, and more."""
     g = build_graph(("a1", "a2", "a3", "a4"),
                     [("a1", "a3"), ("a1", "a4"), ("a2", "a3"), ("a2", "a4")])
     factors = cyclic_normal_factors(g, parse_word(g, "a4 a2 a3 a1"))
     assert factors.components == ((1, 2), (3, 4))
     assert factors.factors == (parse_word(g, "a1 a2"), parse_word(g, "a3 a4"))
-    assert factors.events == parse_word(g, "a2 a4")
+    assert factors.events == parse_word(g, "a4 a2")
+    rng = random.Random(83)
+    seen = set()
+    for _ in range(1200):
+        g = block_graph(rng, rng.randrange(1, 9))
+        w = random_word(g, rng.randrange(0, 6 * g.n), rng)
+        f = cyclic_normal_factors(g, w)
+        p, events = cyclic_reduce(pi_star(g, w))
+        if p.is_empty():
+            assert f == ((), (), tuple(events)), (g, w)
+            continue
+        q, cycled, _ = pyramidalize(p)
+        components = support_components(g, q.support())
+        assert f.components == components, (g, w)
+        assert f.factors == by_component(components, sigma_star(q)), (g, w)
+        assert f.events == tuple(events + cycled), (g, w)
+        assert pi_star(g, inverse_word(f.events) + w + f.events) == pi_star(g, f.concat())
+        seen.add(len(components))
+    assert set(range(1, 9)) <= seen
 
 
 def test_cyclic_normal_factors_identity(example_graph):
@@ -292,7 +335,7 @@ def test_equal_reductions_decided_as_the_rotation_search(monkeypatch):
     pyramidalized = []
     real = raag.conjugacy._pyramidalize
     monkeypatch.setattr(raag.conjugacy, "_pyramidalize",
-                        lambda p: pyramidalized.append(p) or real(p))
+                        lambda p, apexes: pyramidalized.append(p) or real(p, apexes))
     rng = random.Random(61)
     seen = set()
     for _ in range(400):
@@ -333,7 +376,7 @@ def test_align_conjugators_reach_the_common_form(monkeypatch):
     for name in ("_pyramidalize", "_drain"):
         real = getattr(raag.conjugacy, name)
         monkeypatch.setattr(raag.conjugacy, name,
-                            lambda p, name=name, real=real: calls.append(name) or real(p))
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
     tiers = {(0, 0): "reductions", (2, 0): "pyramids", (2, 2): "rotation"}
 
     def check(g, w, v):

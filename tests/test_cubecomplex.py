@@ -639,7 +639,7 @@ def test_equal_pyramids_with_apart_bases_drain_one_piling(monkeypatch):
     real_drain, real_pyramidalize = raag.conjugacy._drain, raag.conjugacy._pyramidalize
     monkeypatch.setattr(raag.conjugacy, "_drain", lambda p: drained.append(p) or real_drain(p))
     monkeypatch.setattr(raag.conjugacy, "_pyramidalize",
-                        lambda p: pyramidalized.append(p) or real_pyramidalize(p))
+                        lambda p, apexes: pyramidalized.append(p) or real_pyramidalize(p, apexes))
     rng = random.Random(67)
     answers, equal_answers = [], set()
     readme_no = ("x1", parse_word(FREE2, "a1")), ("x1", parse_word(FREE2, "a2 a1 a2^-1"))
@@ -686,7 +686,7 @@ def test_equal_reductions_decided_as_the_oracle(monkeypatch):
     pyramidalized, drained = [], []
     real_pyramidalize, real_drain = raag.conjugacy._pyramidalize, raag.conjugacy._drain
     monkeypatch.setattr(raag.conjugacy, "_pyramidalize",
-                        lambda p: pyramidalized.append(p) or real_pyramidalize(p))
+                        lambda p, apexes: pyramidalized.append(p) or real_pyramidalize(p, apexes))
     monkeypatch.setattr(raag.conjugacy, "_drain", lambda p: drained.append(p) or real_drain(p))
     rng = random.Random(71)
     cases = [(FREE2, TRAP, (("x1", parse_word(FREE2, "a1")), (y, parse_word(FREE2, v))))
