@@ -10,19 +10,16 @@ __version__ = "0.1.0"
 # exported name -> home module; the keys double as __all__
 _HOME = {name: home for home, names in (
     ("core", "DefiningGraph InputError Letter PresentationError WordSyntaxError build_graph "
-             "format_word inverse_word load_presentation parse_presentation parse_word"),
+             "format_word load_presentation parse_presentation parse_word"),
     ("piling", "EmptyPiling ExtractionStuck NotCyclicallyReduced Piling PilingError "
-               "PilingTooLarge cyclic_reduce is_cyclically_reduced pi_star "
-               "pyramidalize sigma_star"),
-    ("conjugacy", "CyclicNormalFactors conjugate_in_raag cyclic_equal "
-                  "cyclic_normal_factors normal_form"),
-    ("centralizer", "CentralizerGens centralizer_generators minimal_root"),
+               "PilingTooLarge cyclic_reduce pi_star pyramidalize sigma_star"),
+    ("conjugacy", "CyclicNormalFactors conjugate_in_raag cyclic_normal_factors normal_form"),
+    ("centralizer", "CentralizerGens centralizer_generators"),
     ("cubecomplex", "BasedWord ComplexSyntaxError CubeComplexMap Edge NotALoop "
                     "ReplayFailure UntraceableWord ValidationReport based_word "
                     "groupoid_conjugate load_complex parse_based_word parse_complex "
-                    "reach_by_centralizer trace validate"),
-    ("oracle", "BoundExceeded loop_class_key oracle_conjugate oracle_equal "
-               "oracle_groupoid_conjugate reach_by_preferred_enumeration"),
+                    "trace validate"),
+    ("oracle", "BoundExceeded"),
 ) for name in names.split()}
 
 __all__ = tuple(_HOME)

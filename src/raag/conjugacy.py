@@ -78,12 +78,14 @@ def _pyramid(g: DefiningGraph, p: Piling, events: list[Letter]) -> _Pyramid:
 
 def _drain_factors(pyr: _Pyramid) -> CyclicNormalFactors:
     """The second step: extract the pyramidal piling one component at a
-    time, skipping the stacks of all the others, then check with
-    ``_drain`` that nothing is left."""
+    time, skipping the stacks of all the others; ``_drain`` takes the last
+    component, once the others are empty, and checks that nothing is left."""
     stacks = frozenset(chain.from_iterable(pyr.components))
-    factors = tuple(tuple(_extract(pyr.piling, stacks.difference(c))) for c in pyr.components)
-    _drain(pyr.piling)
-    return CyclicNormalFactors(factors, pyr.components, pyr.events)
+    factors = [tuple(_extract(pyr.piling, stacks.difference(c))) for c in pyr.components[:-1]]
+    last = _drain(pyr.piling)
+    if pyr.components:
+        factors.append(last)
+    return CyclicNormalFactors(tuple(factors), pyr.components, pyr.events)
 
 
 def _prefix_function(pattern) -> list[int]:

@@ -7,12 +7,20 @@ that independence is the point.  Likewise the loop oracles read a
 complex's ``vertices`` and ``edges`` only: each call builds its own
 (vertex, letter) -> vertex table from the edges, never the complex's
 walk table.
+
+Each search raises ``BoundExceeded`` past its bound: ``_MAX_LEN`` letters
+in both words together, ``_MAX_STATES`` words in a word closure, or
+``_MAX_LOOP_STATES`` based loops in a loop closure.
 """
 from __future__ import annotations
 
 from .centralizer import CentralizerGens
 from .core import DefiningGraph, InputError, Letter, Word, inverse_word
 from .cubecomplex import CubeComplexMap
+
+_MAX_LEN = 16
+_MAX_STATES = 500_000
+_MAX_LOOP_STATES = 200_000
 
 
 class BoundExceeded(InputError, RuntimeError):
@@ -32,7 +40,7 @@ def _cancel_moves(w: Word):
             yield w[:i] + w[i + 2:]
 
 
-def _closure(g: DefiningGraph, w: Word, rotate: bool, max_states: int) -> frozenset:
+def _closure(g: DefiningGraph, w: Word, rotate: bool) -> frozenset:
     seen = {w}
     frontier = [w]
     while frontier:
@@ -46,34 +54,30 @@ def _closure(g: DefiningGraph, w: Word, rotate: bool, max_states: int) -> frozen
                 if s not in seen:
                     seen.add(s)
                     nxt.append(s)
-            if len(seen) > max_states:
-                raise BoundExceeded(f"closure exceeded {max_states} states")
+            if len(seen) > _MAX_STATES:
+                raise BoundExceeded(f"closure exceeded {_MAX_STATES} states")
         frontier = nxt
     return frozenset(seen)
 
 
-def oracle_equal(g: DefiningGraph, w: Word, v: Word,
-                 max_len: int = 16, max_states: int = 500_000) -> bool:
+def _closures_meet(g: DefiningGraph, w: Word, v: Word, rotate: bool) -> bool:
+    if len(w) + len(v) > _MAX_LEN:
+        raise BoundExceeded(f"combined length {len(w) + len(v)} exceeds {_MAX_LEN}")
+    return not _closure(g, w, rotate).isdisjoint(_closure(g, v, rotate))
+
+
+def oracle_equal(g: DefiningGraph, w: Word, v: Word) -> bool:
     """Equality in the group by intersecting the closures of both words
     under adjacent commutation swaps and adjacent cancellations."""
-    if len(w) + len(v) > max_len:
-        raise BoundExceeded(f"combined length {len(w) + len(v)} exceeds {max_len}")
-    cw = _closure(g, w, rotate=False, max_states=max_states)
-    cv = _closure(g, v, rotate=False, max_states=max_states)
-    return not cw.isdisjoint(cv)
+    return _closures_meet(g, w, v, rotate=False)
 
 
-def oracle_conjugate(g: DefiningGraph, w: Word, v: Word,
-                     max_len: int = 16, max_states: int = 500_000) -> bool:
+def oracle_conjugate(g: DefiningGraph, w: Word, v: Word) -> bool:
     """Conjugacy by intersecting closures under swaps, cancellations,
     and one-step cyclings: all three moves preserve the conjugacy
     class, and two conjugate words always share a cyclically reduced
     descendant."""
-    if len(w) + len(v) > max_len:
-        raise BoundExceeded(f"combined length {len(w) + len(v)} exceeds {max_len}")
-    cw = _closure(g, w, rotate=True, max_states=max_states)
-    cv = _closure(g, v, rotate=True, max_states=max_states)
-    return not cw.isdisjoint(cv)
+    return _closures_meet(g, w, v, rotate=True)
 
 
 def _edge_table(cx: CubeComplexMap) -> dict[tuple[str, Letter], str]:
@@ -97,8 +101,7 @@ def _delta_trace(delta: dict, x: str, word: Word):
     return x
 
 
-def _loop_closure(delta: dict, g: DefiningGraph, base: str, w: Word,
-                  max_states: int) -> frozenset:
+def _loop_closure(delta: dict, g: DefiningGraph, base: str, w: Word) -> frozenset:
     """Closure of a based loop under the four pullback-able moves:
     commutation swap, adjacent cancellation, based cycling, and
     parallel transport of the base along an edge whose label commutes
@@ -130,28 +133,26 @@ def _loop_closure(delta: dict, g: DefiningGraph, base: str, w: Word,
                 if s not in seen:
                     seen.add(s)
                     nxt.append(s)
-            if len(seen) > max_states:
-                raise BoundExceeded(f"loop closure exceeded {max_states} states")
+            if len(seen) > _MAX_LOOP_STATES:
+                raise BoundExceeded(f"loop closure exceeded {_MAX_LOOP_STATES} states")
         frontier = nxt
     return frozenset(seen)
 
 
-def oracle_groupoid_conjugate(cx, g: DefiningGraph, bw1, bw2,
-                              max_states: int = 200_000) -> bool:
+def oracle_groupoid_conjugate(cx, g: DefiningGraph, bw1, bw2) -> bool:
     """Free homotopy of based loops by intersecting their closures
     under the non-length-increasing loop moves."""
     delta = _edge_table(cx)
-    c1 = _loop_closure(delta, g, bw1.base, bw1.word, max_states)
-    c2 = _loop_closure(delta, g, bw2.base, bw2.word, max_states)
-    return not c1.isdisjoint(c2)
+    return not _loop_closure(delta, g, bw1.base, bw1.word).isdisjoint(
+        _loop_closure(delta, g, bw2.base, bw2.word))
 
 
-def loop_class_key(cx, g: DefiningGraph, bw, max_states: int = 200_000):
+def loop_class_key(cx, g: DefiningGraph, bw):
     """A free-homotopy class invariant: the minimal state of the loop
     closure.  Two loops are freely homotopic iff their keys coincide
     (the minimal-length stratum of a class is mutually reachable, so it
     is shared exactly by homotopic loops)."""
-    closure = _loop_closure(_edge_table(cx), g, bw.base, bw.word, max_states)
+    closure = _loop_closure(_edge_table(cx), g, bw.base, bw.word)
     return min((len(word), word, x) for x, word in closure)
 
 

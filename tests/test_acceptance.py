@@ -21,26 +21,21 @@ from raag import (
     based_word,
     centralizer_generators,
     conjugate_in_raag,
-    cyclic_equal,
     cyclic_normal_factors,
     groupoid_conjugate,
-    inverse_word,
-    loop_class_key,
-    minimal_root,
     normal_form,
-    oracle_conjugate,
-    oracle_groupoid_conjugate,
     parse_complex,
     parse_word,
     pi_star,
     pyramidalize,
-    reach_by_centralizer,
     sigma_star,
     validate,
 )
-from raag.core import support_components
-from raag.cubecomplex import trace
-from raag.oracle import _edge_table
+from raag.centralizer import minimal_root
+from raag.conjugacy import cyclic_equal
+from raag.core import inverse_word, support_components
+from raag.cubecomplex import reach_by_centralizer, trace
+from raag.oracle import _edge_table, loop_class_key, oracle_conjugate, oracle_groupoid_conjugate
 from raag.piling import cyclic_reduce
 from .conftest import is_cyclic_normal, random_equivalent_rewrite, random_reduced_word, random_word
 

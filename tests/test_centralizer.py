@@ -8,12 +8,12 @@ from raag import (
     centralizer_generators,
     conjugate_in_raag,
     cyclic_normal_factors,
-    inverse_word,
-    minimal_root,
     normal_form,
     parse_word,
     pi_star,
 )
+from raag.centralizer import minimal_root
+from raag.core import inverse_word
 from .conftest import random_reduced_word, random_word
 
 

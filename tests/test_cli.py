@@ -75,6 +75,9 @@ def test_timing_included_by_default(group_file, capsys):
     code, out, _ = run(capsys, "normal-form", "-g", group_file, "-w", "a1")
     assert code == 0
     assert "elapsed" in out
+    code, out, _ = run(capsys, "normal-form", "-g", group_file, "--json", "-w", "a1")
+    elapsed = json.loads(out)["elapsed_s"]
+    assert code == 0 and isinstance(elapsed, float) and elapsed >= 0
 
 
 def test_word_problem(group_file, capsys):

@@ -8,23 +8,20 @@ from raag import (
     Piling,
     build_graph,
     conjugate_in_raag,
-    cyclic_equal,
     cyclic_normal_factors,
     cyclic_reduce,
-    inverse_word,
-    is_cyclically_reduced,
-    minimal_root,
     normal_form,
-    oracle_conjugate,
     parse_word,
     pi_star,
     pyramidalize,
     sigma_star,
 )
 import raag.conjugacy
-from raag.conjugacy import _align, _factor_rotations, _pyramid, _reduce
-from raag.core import support_components
-from raag.piling import _letter_counts
+from raag.centralizer import minimal_root
+from raag.conjugacy import _align, _factor_rotations, _pyramid, _reduce, cyclic_equal
+from raag.core import inverse_word, support_components
+from raag.oracle import oracle_conjugate
+from raag.piling import _letter_counts, is_cyclically_reduced
 from .conftest import (is_cyclic_normal, is_normal, random_equivalent_rewrite, random_graph,
                        random_reduced_word, random_word)
 

@@ -3,14 +3,13 @@ import random
 import pytest
 
 import raag.core
-from raag.core import letter_table, support_components
+from raag.core import inverse_word, letter_table, support_components
 from raag import (
     Letter,
     PresentationError,
     WordSyntaxError,
     build_graph,
     format_word,
-    inverse_word,
     parse_presentation,
     parse_word,
     pi_star,
@@ -35,6 +34,8 @@ def test_build_graph_rejects_bad_input():
         build_graph(("a", "b"), [("a", "c")])
     with pytest.raises(PresentationError):
         build_graph(("a", "b"), [("a", "a")])
+    with pytest.raises(PresentationError, match="at least one generator required"):
+        build_graph((), [])
 
 
 def test_build_graph_rejects_names_no_word_can_spell():
@@ -56,6 +57,9 @@ def test_index_and_name_roundtrip(example_graph):
         assert g.index(g.name(i)) == i
     with pytest.raises(WordSyntaxError, match="unknown generator name 'nope'"):
         g.index("nope")
+    for i in (0, g.n + 1):
+        with pytest.raises(IndexError, match=f"generator index {i} out of range 1..{g.n}"):
+            g.name(i)
     # names are matched exactly, not by prefix or case
     for near in ("a", "A1", "a1 ", "a11"):
         with pytest.raises(WordSyntaxError):

@@ -23,18 +23,15 @@ from raag import (
     conjugate_in_raag,
     cyclic_normal_factors,
     groupoid_conjugate,
-    inverse_word,
-    oracle_groupoid_conjugate,
     parse_based_word,
     parse_complex,
     parse_word,
-    reach_by_centralizer,
-    reach_by_preferred_enumeration,
     validate,
 )
 from raag.conjugacy import _pyramid, _reduce
-from raag.core import letter_row, letter_table
-from raag.cubecomplex import ValidationReport, trace
+from raag.core import inverse_word, letter_row, letter_table
+from raag.cubecomplex import ValidationReport, reach_by_centralizer, trace
+from raag.oracle import oracle_groupoid_conjugate, reach_by_preferred_enumeration
 from raag.piling import _letter_counts
 from .conftest import random_word
 

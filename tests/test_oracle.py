@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import raag.oracle
 from raag import (
     BoundExceeded,
     based_word,
@@ -10,18 +11,15 @@ from raag import (
     conjugate_in_raag,
     cyclic_normal_factors,
     groupoid_conjugate,
-    loop_class_key,
-    oracle_conjugate,
-    oracle_equal,
-    oracle_groupoid_conjugate,
     parse_complex,
     parse_word,
     pi_star,
-    reach_by_preferred_enumeration,
     validate,
 )
 from raag.core import letter_row
 from raag.cubecomplex import trace
+from raag.oracle import (loop_class_key, oracle_conjugate, oracle_equal,
+                         oracle_groupoid_conjugate, reach_by_preferred_enumeration)
 from .conftest import random_word
 
 FREE2 = build_graph(("a1", "a2"), [])
@@ -72,6 +70,26 @@ def test_oracle_length_bound(example_graph):
     long_word = parse_word(g, "a1") * 40
     with pytest.raises(BoundExceeded):
         oracle_equal(g, long_word, long_word)
+    with pytest.raises(BoundExceeded, match="combined length 17 exceeds 16"):
+        oracle_conjugate(g, long_word[:9], long_word[:8])
+
+
+def test_oracle_state_bounds(example_graph, monkeypatch):
+    """Each closure stops with ``BoundExceeded`` once it holds more
+    states than its bound allows."""
+    g = example_graph
+    monkeypatch.setattr(raag.oracle, "_MAX_STATES", 3)
+    w = parse_word(g, "a1 a4 a1 a4")
+    with pytest.raises(BoundExceeded, match="closure exceeded 3 states"):
+        oracle_equal(g, w, w)
+    with pytest.raises(BoundExceeded, match="closure exceeded 3 states"):
+        oracle_conjugate(g, w, w)
+    monkeypatch.setattr(raag.oracle, "_MAX_LOOP_STATES", 3)
+    loop = based_word(TRAP, "x1", parse_word(FREE2, "a1 a2 a1 a2^-1"))
+    with pytest.raises(BoundExceeded, match="loop closure exceeded 3 states"):
+        oracle_groupoid_conjugate(TRAP, FREE2, loop, loop)
+    with pytest.raises(BoundExceeded, match="loop closure exceeded 3 states"):
+        loop_class_key(TRAP, FREE2, loop)
 
 
 def test_oracle_groupoid_trap():

@@ -6,9 +6,11 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raag.core import support_components
-from raag.piling import ZERO, Piling, _cyclic_reduce, _extract, _fold, _layout, _top_run
+from raag.core import inverse_word, support_components
+from raag.piling import (ZERO, Piling, _cyclic_reduce, _extract, _fold, _layout, _top_run,
+                         is_cyclically_reduced)
 from raag import (
+    EmptyPiling,
     ExtractionStuck,
     Letter,
     NotCyclicallyReduced,
@@ -17,8 +19,6 @@ from raag import (
     build_graph,
     cyclic_normal_factors,
     cyclic_reduce,
-    inverse_word,
-    is_cyclically_reduced,
     parse_word,
     pi_star,
     pyramidalize,
@@ -336,6 +336,8 @@ def test_pyramidalize_bounds_its_passes(example_graph, monkeypatch):
 
 def test_pyramidalize_rejects_bad_input(example_graph):
     g = example_graph
+    with pytest.raises(EmptyPiling, match="empty piling"):
+        pyramidalize(pi_star(g, ()))
     with pytest.raises(NotCyclicallyReduced):
         pyramidalize(pi_star(g, parse_word(g, "a1 a2 a1^-1")))
     # a1 and a4 commute: two components, each pyramidal over its own apex
