@@ -71,6 +71,8 @@ class CubeComplexMap:
         self.edges = tuple(edges)
         self.squares = tuple(tuple(sq) for sq in squares) if squares is not None else None
         names = dict.fromkeys(self.vertices)
+        # ids below it name vertex records, the rest names only an edge mentions
+        self._vertex_ids = len(names)
         for e in self.edges:
             names[e.src] = names[e.dst] = None
         self._names = tuple(names)
@@ -299,7 +301,7 @@ def trace(cx: CubeComplexMap, x: str, w: Word):
 
 
 def based_word(cx: CubeComplexMap, base: str, w: Word) -> BasedWord:
-    if base not in cx.vertices:
+    if cx._ids.get(base, cx._vertex_ids) >= cx._vertex_ids:
         raise UntraceableWord(f"unknown vertex {base!r}")
     end = trace(cx, base, w)
     if end is None:

@@ -28,7 +28,8 @@ All public operations are pure: they copy their input piling and
 return fresh values, and leave it unchanged also when they raise.  They
 are built from a private kernel of the push rule (``_fold``) and two
 loops on one packed *bottom field*: the largest-index extraction loop
-(``_extract``), which skips a given set of stacks, and the pair loop of
+(``_extract``), which skips a given set of stacks and either removes the
+tiles it takes or lays them back on top, and the pair loop of
 ``_cyclic_reduce``.  Each public operation on a piling is a copy
 followed by a private form that works in place, for callers that own a
 fresh piling: ``_drain`` is ``sigma_star`` and ``_cyclic_reduce``
@@ -41,15 +42,22 @@ with a signed bead (in a valid piling its non-commuting neighbours then
 start with 0 beads).  The bottom field packs the bottom 0 runs of all
 stacks into one int, each field holding 2^31 *minus* its run; an empty
 stack's single run is its bottom run.  ``_bottoms`` builds it in O(n)
-once per call and ``_set_bottoms`` writes it back.  A field's guard bit
-is set exactly when its stack starts with a signed bead, and removing a
-tile adds ``low`` once: each neighbour's run drops by one, and one that
-falls to 0 carries into its guard bit with no further work.  In
-``_extract`` the ready stacks are the bottom field ANDed with the guard
-bits of the stacks that hold a signed bead, and the next letter is the
-highest set bit.  Extraction therefore costs a handful of int operations
-per letter after an O(n) start, and emits the interned letters of
-``core.letter_table``.
+once per call, and ``_set_bottoms`` or ``_relay`` writes it back.  A
+field's guard bit is set exactly when its stack starts with a signed
+bead, and removing a tile adds ``low`` once: each neighbour's run drops
+by one, and one that falls to 0 carries into its guard bit with no
+further work.  In ``_extract`` the ready stacks are the bottom field
+ANDed with the guard bits of the stacks that hold a signed bead, and the
+next letter is the highest set bit.  Extraction therefore costs a
+handful of int operations per letter after an O(n) start, and emits the
+interned letters of ``core.letter_table``.  The loop reads each stack
+through an iterator over its signed beads and one over its runs, and
+changes no deque; one O(n) settle at the end either drops the beads that
+each iterator passed (``_drop``) or rotates them to the top of their
+stacks (``_relay``).  A pyramidalize pass is one relaying extraction: a
+tile of a cyclically reduced piling that is cycled to the top never
+cancels, so the rotated stacks are what a fold of the extracted letters
+would build, and no letter goes through the kernel twice.
 
 ``cyclic_reduce`` keeps the bottom field ``cb`` beside a copy ``top`` of
 ``_top``.  A stack wraps, starting with a signed bead and ending with
@@ -62,8 +70,8 @@ neighbour loses a 0 bead at both ends, an empty neighbour two beads of
 its single run.  Only the fields of the pair's own stack are rewritten.
 
 The kernel loops unpack only exact tuples: ``_Layout.tiles`` holds
-plain 4-tuples, and ``_extract`` joins each stack's masks, deques and
-letter row into one tuple per call.  CPython unpacks an exact tuple
+plain 4-tuples, and ``_extract`` joins each stack's masks, iterators
+and letter row into one tuple per call.  CPython unpacks an exact tuple
 directly but a NamedTuple, a tuple subclass, through its generic
 iterator path: 57 against 20 ns on 3.11, and 1.7x to 3.7x slower on
 3.10, 3.12 and 3.13, once per letter in both loops.
@@ -73,6 +81,8 @@ from __future__ import annotations
 import struct
 from collections import deque
 from functools import lru_cache
+from itertools import repeat
+from operator import length_hint, sub
 from typing import Collection, NamedTuple, Sequence
 
 from .core import DefiningGraph, Letter, Word, letter_table, support_components
@@ -301,31 +311,43 @@ def _set_bottoms(p: Piling, cb: int, top: int) -> None:
     p._top = _pack(lay, tops)
 
 
-def _extract(p: Piling, exclude: Collection[int] = ()) -> list[Letter]:
+def _extract(p: Piling, exclude: Collection[int] = (), relay: bool = False) -> list[Letter]:
     """Repeatedly remove the bottom tile of the largest-index stack
     not in ``exclude`` that starts with a signed bead, in place,
     until there is none; returns the removed letters in order.  Raises
     ExtractionStuck, with the offending tile not removed, if a neighbour
     of that tile has no 0 bead at the bottom.
 
+    With ``relay`` the removed tiles are laid back on top of the piling
+    in the order removed, as a fold of the returned letters would lay
+    them on a cyclically reduced piling, where none of them cancels:
+    one pass of ``_pyramidalize``.  Raises PilingTooLarge, changing
+    nothing, if a 0 run would pass 2^31-1 beads.
+
     Works on the bottom field ``cb``, whose guard bit of field j is set
     exactly when stack j starts with a signed bead.  An a_i-tile is
     stuck when ``cb & high`` is not 0; removing it is ``cb += low``, and
     then stack i's next bottom run (under its next signed bead, or its
-    top run once it is empty) is subtracted from its field.  The runs go
-    back to the deques and to ``_top`` on the way out, also when the
-    extraction gets stuck.
+    top run once it is empty) is subtracted from its field.  The loop
+    reads each stack through an iterator over its signed beads and one
+    over the runs under them, and changes no deque; on the way out, also
+    when the extraction gets stuck, ``_drop`` or ``_relay`` settles each
+    stack once from the number of beads its iterator has passed.
 
-    An O(n) start joins each stack's tile masks, bead and run deques and
-    letter row into one exact tuple, so each letter finds all it needs
-    in one fast unpack (see the module docstring)."""
-    beads, under, tiles = p._beads, p._under, p._lay.tiles
+    An O(n) start joins each stack's tile masks, iterators and letter
+    row into one exact tuple, so each letter finds all it needs in one
+    fast unpack (see the module docstring)."""
+    beads, tiles = p._beads, p._lay.tiles
     letters = letter_table(p.graph.n)
+    top = p._top
     cb = _bottoms(p)
     # guard bits of the stacks outside ``exclude`` that hold a signed bead
     occupied = sum(_GUARD << t[0] for j, t in enumerate(tiles) if beads[j] and j not in exclude)
-    # per stack: (shift, low, high, keep, beads, under, letter row)
-    rows = list(map(tuple.__add__, tiles, zip(beads, under, letters)))
+    signs = list(map(iter, beads))
+    runs = list(map(iter, p._under))
+    list(map(next, runs, repeat(None)))  # step past each first run: cb holds it
+    # per stack: (shift, low, high, keep, signs, runs, letter row)
+    rows = list(map(tuple.__add__, tiles, zip(signs, runs, letters)))
     out: list[Letter] = []
     try:
         while ready := cb & occupied:
@@ -335,19 +357,84 @@ def _extract(p: Piling, exclude: Collection[int] = ()) -> list[Letter]:
                 raise ExtractionStuck(
                     f"stack {_lowest_field(cb & h)} does not start with a 0 bead "
                     f"under the bottom tile of {i}")
-            u.popleft()
-            out.append(row[b.popleft()])
+            out.append(row[next(b)])
             cb += lo
-            if u:
-                nxt = u[0]
-            else:
+            nxt = next(u, None)
+            if nxt is None:
                 occupied ^= _GUARD << sh
-                nxt = p._top >> sh & _RUN
+                nxt = top >> sh & _RUN
             if nxt:
                 cb -= nxt << sh
     finally:
-        _set_bottoms(p, cb, p._top)
+        if out:  # else cb is still what _bottoms read: nothing to settle
+            (_relay if relay else _drop)(p, cb, signs)
     return out
+
+
+def _taken(p: Piling, signs: list) -> list[int]:
+    """Per stack, the number of signed beads its iterator has passed."""
+    return list(map(sub, map(len, p._beads), map(length_hint, signs)))
+
+
+def _drop(p: Piling, cb: int, signs: list) -> None:
+    """Settle an extraction that removes its tiles: each stack loses the
+    beads its iterator passed, and takes its bottom run from cb."""
+    beads, under = p._beads, p._under
+    for j, k in enumerate(_taken(p, signs)):
+        if not k:
+            continue
+        b, u = beads[j], under[j]
+        if k == len(b):
+            b.clear()
+            u.clear()
+        else:  # stopped by an excluded or a blocked tile
+            for _ in range(k):
+                b.popleft()
+                u.popleft()
+    _set_bottoms(p, cb, p._top)
+
+
+def _relay(p: Piling, cb: int, signs: list) -> None:
+    """Settle an extraction that lays its tiles back on top.  A stack
+    that gave k of its m signed beads rotates both deques by k.  Its
+    bottom run r comes from cb, and the 0 beads that the pass took from
+    the run under its next signed bead (or from its top run, once it is
+    empty) become its new top run.  The old top run joins the run under
+    the first relaid bead, the seam; a stack that gave no bead lays the
+    0 beads it lost at the bottom on its top run instead.  Every seam is
+    checked before a deque or field changes."""
+    lay = p._lay
+    tops = _unpack(lay, p._top)
+    settle = []
+    for j, (u, k, f) in enumerate(zip(p._under, _taken(p, signs), _unpack(lay, cb))):
+        if not u:  # an empty stack gets back on top the 0 beads it lost
+            continue
+        r = _GUARD - f
+        if not k:
+            seam = (tops[j] & _RUN) + u[0] - r
+        elif k < len(u):
+            seam = u[0] + (tops[j] & _RUN)
+        else:  # its single run, left after the last bead went
+            seam = u[0] + r
+        if seam > _RUN:
+            raise PilingTooLarge(f"a 0 run on stack {j} would pass 2^31-1 beads")
+        settle.append((j, k, r, seam))
+    beads, under = p._beads, p._under
+    for j, k, r, seam in settle:
+        b, u = beads[j], under[j]
+        if not k:
+            u[0] = r
+            tops[j] = _GUARD | seam
+        elif k < len(u):
+            b.rotate(-k)
+            u.rotate(-k)
+            tops[j] = _GUARD | u[0] - r
+            u[0] = r
+            u[-k] = seam
+        else:
+            tops[j] -= r
+            u[0] = seam
+    p._top = _pack(lay, tops)
 
 
 def pi_star(g: DefiningGraph, w: Word) -> Piling:
@@ -462,15 +549,16 @@ def pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
     (a conjugator from p to the result) and the number of passes.
 
     Each pass moves the 0-factors of all components from the bottom to
-    the top in place: one extraction that skips every component's apex.
-    Components never compete for a stack: a support stack holds beads of
-    its own component's tiles only, and a stack outside the support
-    holds only 0 beads, which block no tile.  So the pass removes each
-    component's 0-factor in that component's own order, interleaved
-    with the others.  Cycling a tile never cancels in a cyclically
-    reduced piling, so this equals cycling the 0-factors' tiles one at a
-    time.  The passes number at most the largest eccentricity of an apex
-    in its component, which is below n; a pass beyond n raises
+    the top in place: one extraction that skips every component's apex
+    and lays the tiles it takes back on top of their stacks.  Components
+    never compete for a stack: a support stack holds beads of its own
+    component's tiles only, and a stack outside the support holds only 0
+    beads, which block no tile.  So the pass moves each component's
+    0-factor in that component's own order, interleaved with the others.
+    Cycling a tile never cancels in a cyclically reduced piling, so this
+    equals cycling the 0-factors' tiles one at a time, and no letter is
+    folded again.  The passes number at most the largest eccentricity of
+    an apex in its component, which is below n; a pass beyond n raises
     PilingError instead of looping on."""
     if p.is_empty():
         raise EmptyPiling("cannot pyramidalize the empty piling")
@@ -484,15 +572,14 @@ def pyramidalize(p: Piling) -> tuple[Piling, list[Letter], int]:
 def _pyramidalize(p: Piling, apexes: Collection[int]) -> tuple[list[Letter], int]:
     """``pyramidalize`` in place on a nonempty cyclically reduced piling
     p, given the apex of each component: p becomes the pyramidal piling,
-    and the cycled letters and the number of passes are returned."""
+    and the cycled letters and the number of passes are returned.  A
+    pass is one relaying ``_extract``; the loop ends at the first pass
+    that takes no tile."""
     events: list[Letter] = []
     passes = 0
-    while True:
-        letters = _extract(p, apexes)
-        if not letters:
-            return events, passes
+    while letters := _extract(p, apexes, relay=True):
         passes += 1
         if passes > p.graph.n:
             raise PilingError(f"pyramidalize did not settle within {p.graph.n} passes")
-        _fold(p, letters)
         events += letters
+    return events, passes

@@ -339,8 +339,8 @@ def count_kernel_letters(monkeypatch) -> Counter:
     def count(module, name, letters, key=None):
         real = getattr(module, name)
 
-        def wrapper(*args):
-            out = real(*args)
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
             traffic[key or name] += letters(args, out)
             return out
 
@@ -356,10 +356,10 @@ def count_kernel_letters(monkeypatch) -> Counter:
     return traffic
 
 
-def path_graph():
-    """a1 - a2 - ... - a6: neighbours do not commute, all other pairs do."""
-    return build_graph([f"a{i}" for i in range(1, 7)],
-                       [(f"a{i}", f"a{j}") for i in range(1, 7) for j in range(i + 2, 7)])
+def path_graph(n=6):
+    """a1 - a2 - ... - an: neighbours do not commute, all other pairs do."""
+    return build_graph([f"a{i}" for i in range(1, n + 1)],
+                       [(f"a{i}", f"a{j}") for i in range(1, n + 1) for j in range(i + 2, n + 1)])
 
 
 def test_acceptance_10_kernel_traffic_is_linear(monkeypatch):
@@ -398,17 +398,51 @@ def test_acceptance_10_kernel_traffic_is_linear(monkeypatch):
                + ", ".join(lines) + f"; under {bound} per input letter")
 
 
+def test_acceptance_10_deciders_fold_only_their_input(monkeypatch):
+    """Pyramidalize lays each pass's tiles back on top instead of folding
+    them again, so the deciders fold exactly their input letters however
+    many passes they take, and ``pyramidalize`` folds none.  Checked on
+    F_k = a_k^m ... a_2^m a_1 over the path graph of k generators, whose
+    apex a1 has eccentricity k-1, and on (a3 a4)^m a1, which cycles every
+    tile but a1."""
+    traffic = count_kernel_letters(monkeypatch)
+    cases = []
+    for k in (8, 16, 32):
+        g = path_graph(k)
+        cases.append((f"F_{k}", g, parse_word(g, " ".join(f"a{i}^40" for i in range(k, 1, -1))
+                                               + " a1"), k - 1))
+    g = example()
+    cases.append(("(a3 a4)^m a1", g, parse_word(g, "a3 a4 " * 500 + "a1"), 1))
+    lines = []
+    for name, g, w, least in cases:
+        p, _ = cyclic_reduce(pi_star(g, w))
+        traffic.clear()
+        _, events, passes = pyramidalize(p)
+        assert passes >= least and traffic["_fold"] == 0, (name, passes, traffic)
+        v = w[1:] + w[:1]
+        traffic.clear()
+        assert conjugate_in_raag(g, w, v)
+        assert traffic["_fold"] == len(w) + len(v), (name, traffic)
+        traffic.clear()
+        cyclic_normal_factors(g, w)
+        assert traffic["_fold"] == len(w), (name, traffic)
+        lines.append(f"{name} {passes} passes, {len(events)} cycled")
+    report(10, "the deciders fold only their input letters: " + ", ".join(lines))
+
+
 # kernel letters of the YES decisions below.  The path rotation has
 # unequal cyclic reductions but equal pyramidal pilings, so only
-# pyramidalize extracts (the path pair drained both pyramids as well,
-# 7,355 extracted letters, before equal pyramids answered YES); the
+# pyramidalize extracts, and each of its passes lays the letters it
+# extracts back on top, so the fold takes the two input words alone (the
+# path pair drained both pyramids as well, 7,355 extracted letters,
+# before equal pyramids answered YES); the
 # based rotation's pyramids differ, so both are drained and
 # rotation-compared.  The conjugated path and the conjugated loop have
 # equal cyclic reductions, which answer YES with nothing pyramidalized,
 # so nothing is extracted (the conjugated path pyramidalized both words
 # before, 8,026 folded and 4,020 extracted letters).
 YES_TRAFFIC = {
-    "path": Counter(_fold=7355, _extract=3353),
+    "path": Counter(_fold=4002, _extract=3353),
     "conjugated path": Counter(_fold=4006, _extract=0, cyclic_reduce=4),
     "loop": Counter(_fold=800, _extract=800),
     "conjugated loop": Counter(_fold=802, _extract=0, cyclic_reduce=2),

@@ -192,6 +192,21 @@ def test_trace_and_based_word():
         based_word(TRAP, "zz", ())
 
 
+def test_based_word_needs_a_vertex_record():
+    """A name that only an edge mentions is no vertex: ``trace`` walks
+    from it, but ``based_word`` rejects it as a base, as it rejects a
+    name that nothing mentions.  A repeated vertex record is a vertex."""
+    cx = CubeComplexMap(["x1", "x2", "x1"], [Edge("e1", "x1", "x9", 1),
+                                             Edge("e2", "x9", "x1", 2)])
+    w = parse_word(FREE2, "a2 a1")
+    assert trace(cx, "x9", w) == "x9"
+    for base in ("x9", "zz"):
+        with pytest.raises(UntraceableWord, match=f"^unknown vertex '{base}'$"):
+            based_word(cx, base, w)
+    assert based_word(cx, "x1", parse_word(FREE2, "a1 a2")) == BasedWord("x1", w[::-1], "x1")
+    assert based_word(cx, "x2", ()) == BasedWord("x2", (), "x2")
+
+
 def based_cycle(cx, bw):
     """Move the base along the loop's first edge and rotate the word."""
     if bw.base != bw.end:

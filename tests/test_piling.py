@@ -1,7 +1,7 @@
 import random
 import re
 import sys
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -322,7 +322,7 @@ def test_pyramidalize_bounds_its_passes(example_graph, monkeypatch):
     p, _ = cyclic_reduce(pi_star(g, parse_word(g, EXAMPLE_WORD)))
     calls = []
 
-    def never_empty(q, exclude=()):
+    def never_empty(q, exclude=(), relay=False):
         calls.append(1)
         return [Letter(1, 1)]
 
@@ -529,6 +529,8 @@ def stacks_of(p):
 
 def test_kernel_matches_references_on_random_graphs():
     rng = random.Random(2024)
+    relay_rng = random.Random(2025)  # its own stream, so the other cases stay as they were
+    relayed = Counter()  # (some tile relaid, every tile relaid)
     # 64 and 65 generators put fields past a 64-bit machine word, and
     # the packed ints past 2048 bits
     sizes = [rng.randrange(2, 8) for _ in range(1000)] + [16, 64, 65] * 40
@@ -565,6 +567,14 @@ def test_kernel_matches_references_on_random_graphs():
         assert pi_star(g, inverse_word(events) + sigma_star(folded) + tuple(events)) == p
         if p.is_empty():
             continue
+        # a relay lays the extracted tiles back on top: the refold of the
+        # remaining piling's word followed by the extracted letters
+        exclude = set(relay_rng.sample(range(1, n + 1), relay_rng.randrange(0, n + 1)))
+        q, rest = p.copy(), p.copy()
+        letters = _extract(q, exclude, relay=True)
+        assert letters == _extract(rest, exclude)
+        assert q == pi_star(g, sigma_star(rest) + tuple(letters))
+        relayed[bool(letters), rest.is_empty()] += 1
         # the joint passes against one reference run per component
         q, events, passes = pyramidalize(p)
         refs = [pyramidalize_tile_by_tile(part) for part in split_by_refolding(p)]
@@ -575,6 +585,7 @@ def test_kernel_matches_references_on_random_graphs():
         assert sorted(events, key=lambda l: comp[l.gen]) == [l for r in refs for l in r[1]]
         # the joint cycling order is itself a conjugator from p to q
         assert pi_star(g, inverse_word(events) + sigma_star(p) + tuple(events)) == q
+    assert set(relayed) == {(False, False), (True, False), (True, True)}, relayed
 
 
 def test_tile_table_holds_exact_tuples():
@@ -641,6 +652,40 @@ def test_extract_keeps_a_bottom_run_of_2_31_minus_1():
     assert (q._under[1][0], _top_run(q, 1), _top_run(q, 2), _top_run(q, 3)) == (
         2 ** 31 - 2, 0, 1, 2 ** 31 - 2)
     assert list(q._beads[1]) == [1] and q.signed_count == 1
+
+
+def test_relay_keeps_a_seam_run_of_2_31_minus_1():
+    """A relaying pass joins an old top run to the 0 beads under the
+    relaid tiles: a stack that gives a bead joins it to the run under its
+    first relaid bead, and one that gives none (the excluded a1) to the 0
+    beads it lost at the bottom.  A seam of exactly 2^31-1 beads comes
+    back exact; one bead more raises PilingTooLarge and changes nothing."""
+    g = build_graph(("a1", "a2", "a3"), [])
+    # stacks a1: 0 0 +, a2: 0 + 0, a3: + 0 0; and a1: 0 0 + 0, a2: 0 + 0 +,
+    # a3: + 0 0 0, where a2 gives one of its two beads
+    for word, j in (("a3 a2 a1", 2), ("a3 a2 a1 a2", 2), ("a3 a2 a1", 1)):
+        p = pi_star(g, parse_word(g, word))
+        small = p.copy()
+        letters = _extract(small, {1}, relay=True)
+        assert letters == list(parse_word(g, "a3 a2"))
+        assert small == pi_star(g, parse_word(g, word)[2:] + tuple(letters))
+        seam = small._under[j][-1] if j == 2 else _top_run(small, j)
+        grow = 2 ** 31 - 1 - seam
+        want = small.copy()
+        if j == 2:
+            want._under[j][-1] += grow
+        else:
+            want._top += grow << 32 * (j - 1)
+        # the old top run of stack j is `grow` beads longer
+        q = p.copy()
+        q._top += grow << 32 * (j - 1)
+        assert _extract(q, {1}, relay=True) == letters and q == want
+        q = p.copy()
+        q._top += grow + 1 << 32 * (j - 1)
+        before = q.copy()
+        with pytest.raises(PilingTooLarge):
+            _extract(q, {1}, relay=True)
+        assert q == before
 
 
 def test_cyclic_reduce_rejects_invalid_pilings():
