@@ -39,7 +39,6 @@ def minimal_root(w: Word) -> tuple[Word, int]:
 def centralizer_generators(g: DefiningGraph, factors: CyclicNormalFactors) -> CentralizerGens:
     roots = tuple(minimal_root(f) for f in factors.factors)
     support = {l.gen for f in factors.factors for l in f}
-    link = frozenset(
-        j for j in range(1, g.n + 1)
-        if j not in support and all(g.commutes(j, s) for s in support))
+    # the generators outside the support that commute with all of it
+    link = frozenset(range(1, g.n + 1)).difference(support, *(g.noncommute[s] for s in support))
     return CentralizerGens(roots, link)

@@ -16,13 +16,17 @@ a set of fields and ``high = low << 31`` their guard bits, ``x - low``
 shortens each of those runs by one without borrowing from the next
 field, and a run that was 0 shows as a cleared guard bit; ``x + low``
 lengthens them.  A tile's footprint therefore costs a constant number of
-whole-int operations, whatever the degree of its generator.  A fold
-raises ``PilingTooLarge`` before it changes anything if a run could pass
-2^31-1 beads; for a piling folded from a word that takes more than
-2^31-1 tiles on the neighbours of one stack.  The field masks of a graph
-are built on first use (``_layout``).  ``Piling.stacks`` spells the
-beads out on demand for display and tests; ``Piling.from_stacks`` builds
-a piling from such a spelling.
+whole-int operations, whatever the degree of its generator.  No stack
+holds more than 2^31-1 beads, so no run can pass its field.  The limit
+is checked only where beads enter a piling: ``pi_star`` takes at most
+2^31-1 letters, each adding at most one bead to a stack, and
+``Piling.from_stacks`` checks each stack; both raise ``PilingTooLarge``.
+Every other operation keeps or lowers each stack's bead count: a cancel,
+a cyclic-reduction pair and a dropping extraction remove beads, and a
+relay only rotates a stack and moves 0 runs between its ends.  The field
+masks of a graph are built on first use (``_layout``).  ``Piling.stacks``
+spells the beads out on demand for display and tests;
+``Piling.from_stacks`` builds a piling from such a spelling.
 
 All public operations are pure: they copy their input piling and
 return fresh values, and leave it unchanged also when they raise.  They
@@ -42,7 +46,7 @@ with a signed bead (in a valid piling its non-commuting neighbours then
 start with 0 beads).  The bottom field packs the bottom 0 runs of all
 stacks into one int, each field holding 2^31 *minus* its run; an empty
 stack's single run is its bottom run.  ``_bottoms`` builds it in O(n)
-once per call, and ``_set_bottoms`` or ``_relay`` writes it back.  A
+once per call, and ``_drop`` or ``_relay`` writes it back.  A
 field's guard bit is set exactly when its stack starts with a signed
 bead, and removing a tile adds ``low`` once: each neighbour's run drops
 by one, and one that falls to 0 carries into its guard bit with no
@@ -52,12 +56,13 @@ next letter is the highest set bit.  Extraction therefore costs a
 handful of int operations per letter after an O(n) start, and emits the
 interned letters of ``core.letter_table``.  The loop reads each stack
 through an iterator over its signed beads and one over its runs, and
-changes no deque; one O(n) settle at the end either drops the beads that
+changes no deque; one O(n) loop at the end either drops the beads that
 each iterator passed (``_drop``) or rotates them to the top of their
-stacks (``_relay``).  A pyramidalize pass is one relaying extraction: a
-tile of a cyclically reduced piling that is cycled to the top never
-cancels, so the rotated stacks are what a fold of the extracted letters
-would build, and no letter goes through the kernel twice.
+stacks (``_relay``), and writes each stack's bottom run back.  A
+pyramidalize pass is one relaying extraction: a tile of a cyclically
+reduced piling that is cycled to the top never cancels, so the rotated
+stacks are what a fold of the extracted letters would build, and no
+letter goes through the kernel twice.
 
 ``cyclic_reduce`` keeps the bottom field ``cb`` beside a copy ``top`` of
 ``_top``.  A stack wraps, starting with a signed bead and ending with
@@ -67,7 +72,8 @@ bits of the stacks whose end beads differ and ``ones`` the low bit of
 every field, the wrap mask is ``cb & opp & ~(top - ones)``.  Removing a
 wrapping pair is one add to ``cb`` and one subtract from ``top``: each
 neighbour loses a 0 bead at both ends, an empty neighbour two beads of
-its single run.  Only the fields of the pair's own stack are rewritten.
+its single run.  Only the fields of the pair's own stack are rewritten,
+and ``_drop``, with no beads to drop, writes both fields back at the end.
 
 The kernel loops unpack only exact tuples: ``_Layout.tiles`` holds
 plain 4-tuples, and ``_extract`` joins each stack's masks, iterators
@@ -83,7 +89,7 @@ from collections import deque
 from functools import lru_cache
 from itertools import repeat
 from operator import length_hint, sub
-from typing import Collection, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .core import DefiningGraph, Letter, Word, letter_table, support_components
 
@@ -105,7 +111,8 @@ class ExtractionStuck(PilingError):
 
 
 class PilingTooLarge(PilingError):
-    """A 0 run would reach 2^31 beads, past its packed field."""
+    """A stack would hold 2^31 or more beads, past what its packed fields
+    can count."""
 
 
 class EmptyPiling(PilingError):
@@ -125,7 +132,6 @@ class _Layout(NamedTuple):
     # the run bits of field i.
     tiles: tuple[tuple[int, int, int, int], ...]
     empty: int                # ``Piling._top`` of the empty piling: the guard bits
-    half: int                 # bit 30 of every field
     fields: struct.Struct     # n little-endian 32-bit fields
 
 
@@ -141,7 +147,7 @@ def _layout(g: DefiningGraph) -> _Layout:
         low = sum(1 << _shift(j) for j in g.noncommute[i])
         tiles.append((_shift(i), low, low << 31, ones ^ _RUN << _shift(i)))
     empty = sum(_GUARD << t[0] for t in tiles[1:])
-    return _Layout(tuple(tiles), empty, empty >> 1, struct.Struct(f"<{g.n}I"))
+    return _Layout(tuple(tiles), empty, struct.Struct(f"<{g.n}I"))
 
 
 def _unpack(lay: _Layout, x: int) -> list[int]:
@@ -249,18 +255,15 @@ def _fold(p: Piling, w: Word) -> None:
     top tile of the letter's stack if it carries the opposite sign,
     else add a tile on top.  A cancel whose neighbours do not all end
     with a 0 bead raises PilingError and leaves the piling as the
-    letters before it made it.  Raises PilingTooLarge, changing nothing,
-    if a 0 run could pass 2^31-1 beads.
+    letters before it made it.
 
-    Each letter unpacks its exact 4-tuple from ``_Layout.tiles`` (see the
-    module docstring)."""
-    lay = p._lay
+    The caller keeps every stack at 2^31-1 beads or fewer, past which a
+    run would carry into the next field; each letter adds at most one
+    bead to a stack, so at most 2^31-1 letters on the empty piling, as
+    ``pi_star`` folds, are safe.  Each letter unpacks its exact 4-tuple
+    from ``_Layout.tiles`` (see the module docstring)."""
     top = p._top
-    if len(w) >> 30 or top & lay.half:
-        # some 0 run, or the word, is 2^30 or longer: check the room left
-        if max(_unpack(lay, top)) - _GUARD + len(w) > _RUN:
-            raise PilingTooLarge("a 0 run could pass 2^31-1 beads")
-    beads, under, tiles = p._beads, p._under, lay.tiles
+    beads, under, tiles = p._beads, p._under, p._lay.tiles
     try:
         for gen, sign in w:
             sh, lo, h, keep = tiles[gen]
@@ -297,20 +300,6 @@ def _bottoms(p: Piling) -> int:
                        for u, t in zip(p._under, _unpack(lay, p._top))])
 
 
-def _set_bottoms(p: Piling, cb: int, top: int) -> None:
-    """Write the bottom field cb and the top field top back into p: a
-    stack that holds a signed bead takes its bottom run from cb into its
-    run deque, an empty stack its single run into ``_top``."""
-    lay = p._lay
-    tops = _unpack(lay, top)
-    for j, (u, f) in enumerate(zip(p._under, _unpack(lay, cb))):
-        if u:
-            u[0] = _GUARD - f
-        else:
-            tops[j] = _GUARD | _GUARD - f
-    p._top = _pack(lay, tops)
-
-
 def _extract(p: Piling, exclude: Collection[int] = (), relay: bool = False) -> list[Letter]:
     """Repeatedly remove the bottom tile of the largest-index stack
     not in ``exclude`` that starts with a signed bead, in place,
@@ -321,8 +310,7 @@ def _extract(p: Piling, exclude: Collection[int] = (), relay: bool = False) -> l
     With ``relay`` the removed tiles are laid back on top of the piling
     in the order removed, as a fold of the returned letters would lay
     them on a cyclically reduced piling, where none of them cancels:
-    one pass of ``_pyramidalize``.  Raises PilingTooLarge, changing
-    nothing, if a 0 run would pass 2^31-1 beads.
+    one pass of ``_pyramidalize``.
 
     Works on the bottom field ``cb``, whose guard bit of field j is set
     exactly when stack j starts with a signed bead.  An a_i-tile is
@@ -332,7 +320,7 @@ def _extract(p: Piling, exclude: Collection[int] = (), relay: bool = False) -> l
     reads each stack through an iterator over its signed beads and one
     over the runs under them, and changes no deque; on the way out, also
     when the extraction gets stuck, ``_drop`` or ``_relay`` settles each
-    stack once from the number of beads its iterator has passed.
+    stack in one loop from the number of beads its iterator has passed.
 
     An O(n) start joins each stack's tile masks, iterators and letter
     row into one exact tuple, so each letter finds all it needs in one
@@ -367,79 +355,73 @@ def _extract(p: Piling, exclude: Collection[int] = (), relay: bool = False) -> l
                 cb -= nxt << sh
     finally:
         if out:  # else cb is still what _bottoms read: nothing to settle
-            (_relay if relay else _drop)(p, cb, signs)
+            # per stack, the signed beads its iterator passed, each read
+            # before the settle changes that stack
+            taken = map(sub, map(len, beads), map(length_hint, signs))
+            (_relay if relay else _drop)(p, cb, top, taken)
     return out
 
 
-def _taken(p: Piling, signs: list) -> list[int]:
-    """Per stack, the number of signed beads its iterator has passed."""
-    return list(map(sub, map(len, p._beads), map(length_hint, signs)))
+def _drop(p: Piling, cb: int, top: int, taken: Iterable[int]) -> None:
+    """Settle an extraction that removes its tiles, or a cyclic
+    reduction, which takes none: each stack pops the k beads it gave
+    from the bottom and takes its bottom run from cb, an empty stack its
+    single run into the top field top, which becomes ``_top``."""
+    lay = p._lay
+    tops = _unpack(lay, top)
+    for j, (b, u, k, f) in enumerate(zip(p._beads, p._under, taken, _unpack(lay, cb))):
+        if k:
+            if k == len(b):
+                b.clear()
+                u.clear()
+            else:  # stopped by an excluded or a blocked tile
+                for _ in range(k):
+                    b.popleft()
+                    u.popleft()
+        if u:
+            u[0] = _GUARD - f
+        else:
+            tops[j] = _GUARD | _GUARD - f
+    p._top = _pack(lay, tops)
 
 
-def _drop(p: Piling, cb: int, signs: list) -> None:
-    """Settle an extraction that removes its tiles: each stack loses the
-    beads its iterator passed, and takes its bottom run from cb."""
-    beads, under = p._beads, p._under
-    for j, k in enumerate(_taken(p, signs)):
-        if not k:
-            continue
-        b, u = beads[j], under[j]
-        if k == len(b):
-            b.clear()
-            u.clear()
-        else:  # stopped by an excluded or a blocked tile
-            for _ in range(k):
-                b.popleft()
-                u.popleft()
-    _set_bottoms(p, cb, p._top)
-
-
-def _relay(p: Piling, cb: int, signs: list) -> None:
+def _relay(p: Piling, cb: int, top: int, taken: Iterable[int]) -> None:
     """Settle an extraction that lays its tiles back on top.  A stack
     that gave k of its m signed beads rotates both deques by k.  Its
     bottom run r comes from cb, and the 0 beads that the pass took from
     the run under its next signed bead (or from its top run, once it is
     empty) become its new top run.  The old top run joins the run under
     the first relaid bead, the seam; a stack that gave no bead lays the
-    0 beads it lost at the bottom on its top run instead.  Every seam is
-    checked before a deque or field changes."""
+    0 beads it lost at the bottom on its top run instead.  A relay keeps
+    each stack's bead count, so no seam passes 2^31-1 beads."""
     lay = p._lay
-    tops = _unpack(lay, p._top)
-    settle = []
-    for j, (u, k, f) in enumerate(zip(p._under, _taken(p, signs), _unpack(lay, cb))):
+    tops = _unpack(lay, top)
+    for j, (b, u, k, f) in enumerate(zip(p._beads, p._under, taken, _unpack(lay, cb))):
         if not u:  # an empty stack gets back on top the 0 beads it lost
             continue
         r = _GUARD - f
         if not k:
-            seam = (tops[j] & _RUN) + u[0] - r
-        elif k < len(u):
-            seam = u[0] + (tops[j] & _RUN)
-        else:  # its single run, left after the last bead went
-            seam = u[0] + r
-        if seam > _RUN:
-            raise PilingTooLarge(f"a 0 run on stack {j} would pass 2^31-1 beads")
-        settle.append((j, k, r, seam))
-    beads, under = p._beads, p._under
-    for j, k, r, seam in settle:
-        b, u = beads[j], under[j]
-        if not k:
+            tops[j] += u[0] - r
             u[0] = r
-            tops[j] = _GUARD | seam
         elif k < len(u):
             b.rotate(-k)
             u.rotate(-k)
+            u[-k] += tops[j] & _RUN
             tops[j] = _GUARD | u[0] - r
             u[0] = r
-            u[-k] = seam
-        else:
+        else:  # its single run, left after the last bead went
             tops[j] -= r
-            u[0] = seam
+            u[0] += r
     p._top = _pack(lay, tops)
 
 
 def pi_star(g: DefiningGraph, w: Word) -> Piling:
     """Left fold of the push rule over the word; O(length) with a
-    constant depending only on the graph."""
+    constant depending only on the graph.  A word of more than 2^31-1
+    letters raises PilingTooLarge before any letter is read: it could
+    put more beads on one stack than its fields can count."""
+    if len(w) > _RUN:
+        raise PilingTooLarge(f"word of {len(w)} letters; a piling takes at most {_RUN}")
     p = Piling(g)
     _fold(p, w)
     return p
@@ -538,7 +520,7 @@ def _cyclic_reduce(p: Piling) -> list[Letter]:
             # stack i's new bottom run: under its next signed bead, or its one run
             cb += d - ((u[0] if u else run) << sh)
     finally:
-        _set_bottoms(p, cb, top)
+        _drop(p, cb, top, repeat(0))
     return events
 
 

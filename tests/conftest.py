@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -98,3 +99,38 @@ def random_equivalent_rewrite(g: DefiningGraph, w, rng: random.Random):
         letter = Letter(rng.randrange(1, g.n + 1), rng.choice((1, -1)))
         w[i:i] = [letter, letter_row(letter.gen)[-letter.sign]]
     return tuple(w)
+
+
+def _free_cyclic_image(w, s) -> str:
+    """The image of w in the free group on s, where every letter outside
+    s is deleted, freely and then cyclically reduced, one character per
+    letter."""
+    out = []
+    for gen, sign in w:
+        if gen in s:
+            if out and out[-1] == (gen, -sign):
+                out.pop()
+            else:
+                out.append((gen, sign))
+    i, j = 0, len(out)
+    while j - i > 1 and out[i] == (out[j - 1][0], -out[j - 1][1]):
+        i, j = i + 1, j - 1
+    return "".join(chr(2 * gen + (sign > 0)) for gen, sign in out[i:j])
+
+
+def free_retraction_certificate(g: DefiningGraph, w, v, max_size: int = 3):
+    """A set S of 2 to ``max_size`` pairwise non-commuting generators
+    whose free retraction separates w and v, or None.  Deleting every
+    letter outside S maps the RAAG onto the free group on S, and
+    homomorphisms keep conjugacy: if the two cyclically reduced images
+    are not rotations of each other, w and v are not conjugate.  Shares
+    no code with pilings.  One-sided: no certificate proves nothing."""
+    gens = sorted({l.gen for l in w} | {l.gen for l in v})
+    for size in range(2, max_size + 1):
+        for s in combinations(gens, size):
+            if any(g.commutes(a, b) for a, b in combinations(s, 2)):
+                continue
+            x, y = _free_cyclic_image(w, s), _free_cyclic_image(v, s)
+            if len(x) != len(y) or y not in x + x:
+                return frozenset(s)
+    return None

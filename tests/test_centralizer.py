@@ -14,7 +14,7 @@ from raag import (
 )
 from raag.centralizer import minimal_root
 from raag.core import inverse_word
-from .conftest import random_reduced_word, random_word
+from .conftest import random_graph, random_reduced_word, random_word
 
 
 def test_minimal_root_power(example_graph):
@@ -82,6 +82,21 @@ def test_centralizer_identity(example_graph):
     gens = centralizer_generators(g, cyclic_normal_factors(g, ()))
     assert gens.roots == ()
     assert gens.link_gens == frozenset({1, 2, 3, 4})
+
+
+def test_link_gens_match_the_commutes_definition():
+    """On random graphs, the link generators are exactly those outside
+    the factors' support that commute with every generator in it, the
+    empty word's being every generator."""
+    rng = random.Random(41)
+    for k in range(300):
+        g = random_graph(rng, rng.randrange(1, 12))
+        w = random_word(g, rng.randrange(0, 12) if k % 10 else 0, rng)
+        factors = cyclic_normal_factors(g, w)
+        support = {l.gen for f in factors.factors for l in f}
+        assert centralizer_generators(g, factors).link_gens == {
+            j for j in range(1, g.n + 1)
+            if j not in support and all(g.commutes(j, s) for s in support)}
 
 
 def commutes_with(g, u, w):

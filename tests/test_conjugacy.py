@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,8 @@ from raag.conjugacy import _align, _factor_rotations, _pyramid, _reduce, cyclic_
 from raag.core import inverse_word, support_components
 from raag.oracle import oracle_conjugate
 from raag.piling import _letter_counts, is_cyclically_reduced
-from .conftest import (is_cyclic_normal, is_normal, random_equivalent_rewrite, random_graph,
-                       random_reduced_word, random_word)
+from .conftest import (free_retraction_certificate, is_cyclic_normal, is_normal,
+                       random_equivalent_rewrite, random_graph, random_reduced_word, random_word)
 
 EXAMPLE_WORD = "a2^-2 a4^-1 a3 a2 a4 a1 a2 a1^-1 a2^2 a4^-1"
 
@@ -291,6 +292,44 @@ def test_equal_letter_counts_decided_as_the_oracle():
         assert got == oracle_conjugate(g, w, v), (g, w, v)
         answers.append(got)
     assert answers.count(True) >= 20 and answers.count(False) >= 20
+
+
+def test_free_retractions_check_long_answers():
+    """An independent check of long answers on pairs with equal letter
+    counts: v is w with two adjacent letters of distinct generators
+    swapped, then rotated.  Swapping a commuting pair keeps the element,
+    so v is conjugate to w; swapping a non-commuting pair almost always
+    changes the class.  No YES may have a free-retraction certificate,
+    and each NO has one or is counted and reported as uncertified, since
+    the check is one-sided.  Some NOs keep equal letter counts after
+    cyclic reduction, so they run the relays and factor extractions."""
+    rng = random.Random(2029)
+    answers, uncertified, deep_no = [], 0, 0
+    while len(answers) < 150:
+        n = rng.randrange(6, 17)
+        names = [f"a{i}" for i in range(1, n + 1)]
+        density = rng.uniform(0.3, 0.7)
+        g = build_graph(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+                                if rng.random() < density])
+        w = random_word(g, rng.randrange(600, 801), rng)
+        i = rng.choice([i for i in range(len(w) - 1) if w[i].gen != w[i + 1].gen])
+        v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+        k = rng.randrange(len(v))
+        v = v[k:] + v[:k]
+        got = conjugate_in_raag(g, w, v)
+        certificate = free_retraction_certificate(g, w, v)
+        if got:
+            assert certificate is None, (g, w, v, certificate)
+        elif certificate is None:
+            uncertified += 1
+        elif (_letter_counts(cyclic_reduce(pi_star(g, w))[0])
+              == _letter_counts(cyclic_reduce(pi_star(g, v))[0])):
+            deep_no += 1
+        answers.append(got)
+    if uncertified:
+        warnings.warn(f"{uncertified} of {answers.count(False)} NO answers have no "
+                      f"free-retraction certificate")
+    assert answers.count(True) and answers.count(False) and deep_no, (answers, deep_no)
 
 
 def test_equal_pyramids_decided_as_the_rotation_search():

@@ -175,3 +175,21 @@ def test_input_errors_share_one_type():
     from raag.centralizer import EmptyFactor
     for fault in (raag.PilingError, raag.PilingTooLarge, raag.ReplayFailure, EmptyFactor):
         assert not issubclass(fault, raag.InputError), fault
+
+
+def test_installed_command_runs_the_cli_main():
+    """Installing the package makes a ``raag`` command from the
+    ``[project.scripts]`` entry of ``pyproject.toml``, which no other test
+    runs: they call ``python -m raag.cli`` or ``main``.  The entry must
+    name ``raag.cli.main``.  The file is read as text, since Python 3.10
+    has no ``tomllib``."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert scripts, "pyproject.toml has no [project.scripts] table"
+    entry = re.search(r'^raag\s*=\s*"([\w.]+):([\w.]+)"\s*$', scripts.group(1), re.M)
+    assert entry, scripts.group(1)
+    module, attr = entry.groups()
+    target = importlib.import_module(module)
+    for name in attr.split("."):
+        target = getattr(target, name)
+    assert target is importlib.import_module("raag.cli").main

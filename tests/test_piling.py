@@ -6,9 +6,9 @@ from collections import Counter, deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from raag.core import inverse_word, support_components
-from raag.piling import (ZERO, Piling, _cyclic_reduce, _extract, _fold, _layout, _top_run,
-                         is_cyclically_reduced)
+from raag.core import _MAX_LETTERS, inverse_word, support_components
+from raag.piling import (_RUN, ZERO, Piling, _cyclic_reduce, _extract, _fold, _layout,
+                         _top_run, is_cyclically_reduced)
 from raag import (
     EmptyPiling,
     ExtractionStuck,
@@ -180,16 +180,16 @@ def test_cancel_needs_zero_beads_on_top():
     assert p.stacks == before and p.signed_count == 2
 
 
-def test_push_past_the_run_limit_raises():
+def test_pi_star_past_the_run_limit_raises():
+    """Beads enter a piling only through ``pi_star`` and
+    ``Piling.from_stacks``, so those two are the only doors that check
+    the 2^31-1 limit.  A word of 2^31 letters raises before a letter is
+    read: a range holds ints, not letters, and reading one would fail
+    otherwise.  The parser refuses longer words by the same bound."""
     g = build_graph(("a1", "a2"), [])
-    p = pi_star(g, (Letter(1, 1),))
-    # lengthen the 0 run on stack a2 from 1 to 2^31 - 1 beads, too many to
-    # spell out: its field holds the run from bit 32 on
-    p._top += (2 ** 31 - 2) << 32
-    before = (p._top, p.signed_count)
     with pytest.raises(PilingTooLarge):
-        _fold(p, (Letter(1, 1),))
-    assert (p._top, p.signed_count) == before
+        pi_star(g, range(2 ** 31))
+    assert _MAX_LETTERS == _RUN
 
 
 def test_format_piling_runs(example_graph):
@@ -527,6 +527,10 @@ def stacks_of(p):
     return [tuple(s) for s in p.stacks]
 
 
+def bead_counts(p):
+    return [len(s) for s in p.stacks]
+
+
 def test_kernel_matches_references_on_random_graphs():
     rng = random.Random(2024)
     relay_rng = random.Random(2025)  # its own stream, so the other cases stay as they were
@@ -554,9 +558,13 @@ def test_kernel_matches_references_on_random_graphs():
         q = folded.copy()
         assert _extract(q, exclude) == extract_by_scanning(g, ref, exclude)
         assert stacks_of(q) == list(map(tuple, ref))
+        # the invariant behind the one 2^31-1 check in pi_star: no stack
+        # grows but by a fold
+        assert all(x <= y for x, y in zip(bead_counts(q), bead_counts(folded)))
         assert q.signed_count == sum(len(s) - s.count(ZERO) for s in ref)
         assert q == Piling.from_stacks(g, q.stacks)
         p, events = cyclic_reduce(folded)
+        assert all(x <= y for x, y in zip(bead_counts(p), bead_counts(folded)))
         ref = [deque(s) for s in folded.stacks]
         ref_events = cyclic_reduce_by_scanning(g, ref)
         assert stacks_of(p) == list(map(tuple, ref))
@@ -574,9 +582,11 @@ def test_kernel_matches_references_on_random_graphs():
         letters = _extract(q, exclude, relay=True)
         assert letters == _extract(rest, exclude)
         assert q == pi_star(g, sigma_star(rest) + tuple(letters))
+        assert bead_counts(q) == bead_counts(p)
         relayed[bool(letters), rest.is_empty()] += 1
         # the joint passes against one reference run per component
         q, events, passes = pyramidalize(p)
+        assert bead_counts(q) == bead_counts(p)
         refs = [pyramidalize_tile_by_tile(part) for part in split_by_refolding(p)]
         assert q == pi_star(g, tuple(l for r in refs for l in sigma_star(r[0])))
         assert passes == max(r[2] for r in refs)
@@ -659,7 +669,9 @@ def test_relay_keeps_a_seam_run_of_2_31_minus_1():
     relaid tiles: a stack that gives a bead joins it to the run under its
     first relaid bead, and one that gives none (the excluded a1) to the 0
     beads it lost at the bottom.  A seam of exactly 2^31-1 beads comes
-    back exact; one bead more raises PilingTooLarge and changes nothing."""
+    back exact.  A relay keeps each stack's bead count, so no seam can
+    be longer on a piling that ``pi_star`` or ``Piling.from_stacks``
+    built."""
     g = build_graph(("a1", "a2", "a3"), [])
     # stacks a1: 0 0 +, a2: 0 + 0, a3: + 0 0; and a1: 0 0 + 0, a2: 0 + 0 +,
     # a3: + 0 0 0, where a2 gives one of its two beads
@@ -680,12 +692,6 @@ def test_relay_keeps_a_seam_run_of_2_31_minus_1():
         q = p.copy()
         q._top += grow << 32 * (j - 1)
         assert _extract(q, {1}, relay=True) == letters and q == want
-        q = p.copy()
-        q._top += grow + 1 << 32 * (j - 1)
-        before = q.copy()
-        with pytest.raises(PilingTooLarge):
-            _extract(q, {1}, relay=True)
-        assert q == before
 
 
 def test_cyclic_reduce_rejects_invalid_pilings():
