@@ -230,23 +230,24 @@ def _read_directives(text: str, source: str, error: type[InputError], header: st
     takes the list of fields.  Every message starts ``source:lineno``,
     also that of an ``error`` the function raises."""
     names = None
+    directive = directives.get
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split("#", 1)[0].split()
+        fields = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not fields:
             continue
         kw = fields[0]
         del fields[0]
-        if kw == header:
+        entry = directive(kw)
+        if entry is None:
+            if kw != header:
+                raise error(f"{source}:{lineno}: unknown directive {kw!r}")
             if names is not None:
                 raise error(f"{source}:{lineno}: repeated {kw!r} line")
             if not fields:
                 raise error(f"{source}:{lineno}: {kw!r} needs at least one name")
             names = tuple(fields)
             continue
-        try:
-            count, what, take = directives[kw]
-        except KeyError:
-            raise error(f"{source}:{lineno}: unknown directive {kw!r}") from None
+        count, what, take = entry
         if len(fields) != count:
             raise error(f"{source}:{lineno}: {kw!r} takes {what}")
         try:

@@ -69,30 +69,37 @@ class CubeComplexMap:
                  squares: Iterable[tuple[str, str, str, str]] | None = None):
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
-        self.squares = tuple(tuple(sq) for sq in squares) if squares is not None else None
-        names = dict.fromkeys(self.vertices)
-        # ids below it name vertex records, the rest names only an edge mentions
-        self._vertex_ids = len(names)
-        for e in self.edges:
-            names[e.src] = names[e.dst] = None
-        self._names = tuple(names)
-        self._ids = ids = {x: k for k, x in enumerate(self._names)}
-        self._out: list[dict[Letter, int]] = [{} for _ in self._names]
+        self.squares = tuple(map(tuple, squares)) if squares is not None else None
+        # ids below _vertex_ids name vertex records; an edge's name that
+        # no record has gets the next id when the edge is first read
+        self._ids = ids = {x: k for k, x in enumerate(dict.fromkeys(self.vertices))}
+        self._vertex_ids = len(ids)
+        self._out: list[dict[Letter, int]] = [{} for _ in ids]
         self._multi_keys: set[tuple[str, Letter]] = set()
         out, multi = self._out, self._multi_keys
-        for e in self.edges:
-            _, up, down = letter_row(e.label)
-            ks, kd = ids[e.src], ids[e.dst]
+        for _, src, dst, label in self.edges:
+            _, up, down = letter_row(label)
+            try:
+                ks = ids[src]
+            except KeyError:
+                ks = ids[src] = len(out)
+                out.append({})
+            try:
+                kd = ids[dst]
+            except KeyError:
+                kd = ids[dst] = len(out)
+                out.append({})
             row = out[ks]
             if up in row:
-                multi.add((e.src, up))
+                multi.add((src, up))
             else:
                 row[up] = kd
             row = out[kd]
             if down in row:
-                multi.add((e.dst, down))
+                multi.add((dst, down))
             else:
                 row[down] = ks
+        self._names = tuple(ids)
 
 
 class BasedWord(NamedTuple):
@@ -143,52 +150,59 @@ def _corner(k: int, d1: Letter, d2: Letter, m: int, v: int) -> int:
     return ((2 * d1.gen + (d1.sign < 0)) * m + 2 * d2.gen + (d2.sign < 0)) * v + k
 
 
-def _square_corners(cx: CubeComplexMap, g: DefiningGraph, by_id: dict[str, int],
+def _square_corners(cx: CubeComplexMap, g: DefiningGraph,
+                    ends: dict[str, tuple[int, int, int]],
                     problems: list[str]) -> tuple[set[int], bool]:
     """The corners that the square records provide, coded as by
     ``_corner``, and whether every record closes.  A record (e1, e2, e3,
     e4) closes under signs (s1, s2) when e1^s1 e2^s2 e3^-s1 e4^-s2 is a
     closed path, opposite sides carry equal labels and the two labels
     commute; each of the path's four vertices then gets the corner of
-    the two letters that leave it along the square's sides.  ``by_id``
-    maps each edge id to its index in ``cx.edges``."""
-    ids = cx._ids
-    src = [ids[e.src] for e in cx.edges]
-    dst = [ids[e.dst] for e in cx.edges]
-    label = [e.label for e in cx.edges]
+    the two letters that leave it along the square's sides.  ``ends``
+    maps each edge id to the ids of its source and target and its
+    label."""
     noncommute = g.noncommute  # labels are range-checked before squares
     m, v = 2 * g.n + 2, len(cx._names)
+    # per label pair (i, j): the codes of the letter pairs up-up, down-up,
+    # down-down and up-down of e1 and e2, weighted as in _corner
+    pair_codes: dict[int, tuple[int, int, int, int]] = {}
     corners: set[int] = set()
     add = corners.add
+    end_of = ends.__getitem__
     all_closed = True
     for square in cx.squares:
         try:
-            k1, k2, k3, k4 = map(by_id.__getitem__, square)
+            (p1, q1, i), (p2, q2, j), (p3, q3, i3), (p4, q4, j4) = map(end_of, square)
         except KeyError as exc:
             problems.append(f"square {square}: unknown edge id {exc.args[0]!r}")
             all_closed = False
             continue
-        i, j = label[k1], label[k2]
         closed = False
         # labels and their commutation do not depend on the orientation
-        if label[k3] == i and label[k4] == j and i != j and j not in noncommute[i]:
-            p1, q1, p2, q2 = src[k1], dst[k1], src[k2], dst[k2]
-            p3, q3, p4, q4 = src[k3], dst[k3], src[k4], dst[k4]
-            # the letters of e1 and of e2, weighted as in _corner
-            x, y = (m * v, v) if i < j else (v, m * v)
-            up1, down1, up2, down2 = 2 * i * x, (2 * i + 1) * x, 2 * j * y, (2 * j + 1) * y
-            # per sign of a side: its start and end, the opposite side's
-            # start and end, and the letters along it forwards and back
-            for a1, b1, a3, b3, xs, xo in ((p1, q1, q3, p3, up1, down1),
-                                           (q1, p1, p3, q3, down1, up1)):
-                for a2, b2, a4, b4, ys, yo in ((p2, q2, q4, p4, up2, down2),
-                                               (q2, p2, p4, q4, down2, up2)):
-                    if b1 == a2 and b2 == a3 and b3 == a4 and b4 == a1:
-                        closed = True
-                        add(a1 + xs + ys)
-                        add(a2 + xo + ys)
-                        add(a3 + xo + yo)
-                        add(a4 + xs + yo)
+        if i3 == i and j4 == j and i != j and j not in noncommute[i]:
+            codes = pair_codes.get(i * m + j)
+            if codes is None:
+                x, y = (m * v, v) if i < j else (v, m * v)
+                uu = 2 * i * x + 2 * j * y
+                codes = pair_codes[i * m + j] = (uu, uu + x, uu + x + y, uu + y)
+            uu, du, dd, ud = codes
+            # whichever sign e1 takes, the corners depend on e2's only:
+            # the ends of e1 and of e3 (label i) leave along it up at the
+            # source and down at the target
+            if (q1 == p2 and q2 == q3 and p3 == q4 and p4 == p1
+                    or p1 == p2 and q2 == p3 and q3 == q4 and p4 == q1):
+                closed = True
+                add(p1 + uu)
+                add(q1 + du)
+                add(q3 + dd)
+                add(p3 + ud)
+            if (q1 == q2 and p2 == q3 and p3 == p4 and q4 == p1
+                    or p1 == q2 and p2 == p3 and q3 == p4 and q4 == q1):
+                closed = True
+                add(p1 + ud)
+                add(q1 + dd)
+                add(q3 + du)
+                add(p3 + uu)
         if not closed:
             all_closed = False
             problems.append(
@@ -201,7 +215,11 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     """Checks local determinism, label ranges, that no vertex name (nor,
     when squares are given, edge id) repeats, and the squares and the
     convexity hypothesis at every vertex when squares are given.  Global
-    injectivity of universal covers is assumed, never verified.
+    injectivity of universal covers is assumed, never verified.  It reads
+    the vertex ids and the walk table that the constructor resolved:
+    one map gives each edge id the ids of its ends and its label, each
+    square record is read once, and the records are walked again only
+    to name a problem, so it costs O(edges + squares).
 
     Convexity asks that every pair of directions at a vertex with
     distinct commuting generators be a corner of some closing square.
@@ -214,40 +232,44 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     only when the corners fall short are they walked, to name the
     missing ones."""
     problems: list[str] = []
+    ids = cx._ids
 
-    vertex_set = set(cx.vertices)
-    vertices_ok = len(vertex_set) == len(cx.vertices)
+    # the constructor gives ids to distinct vertex records first, then to
+    # names that only an edge mentions
+    vertices_ok = len(ids) == cx._vertex_ids == len(cx.vertices)
     if not vertices_ok:
-        _repeats("vertex", cx.vertices, problems)
-    for e in cx.edges:
-        for v in (e.src, e.dst):
-            if v not in vertex_set:
-                vertices_ok = False
-                problems.append(f"edge {e.eid}: unknown vertex {v!r}")
+        vertex_set = set(cx.vertices)
+        if len(vertex_set) != len(cx.vertices):
+            _repeats("vertex", cx.vertices, problems)
+        for e in cx.edges:
+            for x in (e.src, e.dst):
+                if x not in vertex_set:
+                    problems.append(f"edge {e.eid}: unknown vertex {x!r}")
 
     determinism_ok = not cx._multi_keys
-    for (v, l) in sorted(cx._multi_keys):
+    for (x, l) in sorted(cx._multi_keys):
         problems.append(
-            f"determinism violation at vertex {v}: more than one edge "
+            f"determinism violation at vertex {x}: more than one edge "
             f"realizes generator {l.gen} with sign {l.sign:+d}")
 
-    labels_ok = True
     n = g.n
-    for e in cx.edges:
-        if not 1 <= e.label <= n:
-            labels_ok = False
-            problems.append(f"edge {e.eid}: label {e.label} out of range 1..{g.n}")
+    eids, srcs, dsts, labels = zip(*cx.edges) if cx.edges else ((),) * 4
+    labels_ok = not labels or 1 <= min(labels) and max(labels) <= n
+    if not labels_ok:
+        problems += [f"edge {e.eid}: label {e.label} out of range 1..{n}"
+                     for e in cx.edges if not 1 <= e.label <= n]
 
     squares_ok = True
     convexity_ok: bool | None = None
     convexity_checked = cx.squares is not None
     if convexity_checked:
-        by_id = {e.eid: k for k, e in enumerate(cx.edges)}
-        if len(by_id) != len(cx.edges):  # a square record could name either edge
+        get = ids.__getitem__
+        ends = dict(zip(eids, zip(map(get, srcs), map(get, dsts), labels)))
+        if len(ends) != len(cx.edges):  # a square record could name either edge
             squares_ok = False
-            _repeats("edge id", (e.eid for e in cx.edges), problems)
+            _repeats("edge id", eids, problems)
     if convexity_checked and squares_ok and labels_ok and vertices_ok:
-        provided, squares_ok = _square_corners(cx, g, by_id, problems)
+        provided, squares_ok = _square_corners(cx, g, ends, problems)
         # labels are range-checked by now, so commutation is a set lookup
         noncommute = g.noncommute
 
@@ -260,7 +282,7 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
         if not convexity_ok:
             m, n_ids = 2 * g.n + 2, len(cx._names)
             for x in cx.vertices:
-                k = cx._ids[x]
+                k = ids[x]
                 problems += [f"convexity violation at vertex {x}: commuting "
                              f"directions {d1} and {d2} have no square corner"
                              for d1, d2 in commuting(cx._out[k])
@@ -385,13 +407,14 @@ def parse_complex(text: str, g: DefiningGraph, source: str = "<string>") -> Cube
     edges: list[Edge] = []
     squares: list[tuple[str, ...]] = []
     gen_of = _index_of(g.names).get
+    new = tuple.__new__  # Edge(...) runs a Python-level __new__ per edge
 
     def edge(fields):
         eid, src, dst, label = fields
         gen = gen_of(label)
         if gen is None:
             raise ComplexSyntaxError(f"unknown generator label {label!r}")
-        edges.append(Edge(eid, src, dst, gen))
+        edges.append(new(Edge, (eid, src, dst, gen)))
 
     vertices = _read_directives(text, source, ComplexSyntaxError, "vertices", {
         "edge": (4, "id, src, dst, label", edge),

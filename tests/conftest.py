@@ -1,3 +1,6 @@
+import contextlib
+import faulthandler
+import os
 import random
 from itertools import combinations
 
@@ -6,6 +9,29 @@ import pytest
 from raag import DefiningGraph, Letter, build_graph, normal_form, pi_star
 from raag.core import letter_row
 from raag.piling import _fold, _top_run
+
+# Seconds one test may run before the session dumps every thread's
+# traceback and exits; the slowest test takes about 6 s under -X dev.
+TEST_TIME_LIMIT = 120
+
+
+@pytest.fixture(scope="session")
+def terminal_stderr(request):
+    """A copy of the stderr that output capture replaces during tests,
+    so that a dump written just before the process exits is seen."""
+    capman = request.config.pluginmanager.getplugin("capturemanager")
+    with capman.global_and_fixture_disabled() if capman else contextlib.nullcontext():
+        fd = os.dup(2)
+    with os.fdopen(fd, "w") as stream:
+        yield stream
+
+
+@pytest.fixture(autouse=True)
+def hang_guard(terminal_stderr):
+    """Turn a test that hangs into a failed run with a traceback."""
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT, exit=True, file=terminal_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

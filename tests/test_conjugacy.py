@@ -20,7 +20,7 @@ from raag import (
 import raag.conjugacy
 from raag.centralizer import minimal_root
 from raag.conjugacy import _align, _factor_rotations, _pyramid, _reduce, cyclic_equal
-from raag.core import inverse_word, support_components
+from raag.core import inverse_word, letter_row, support_components
 from raag.oracle import oracle_conjugate
 from raag.piling import _letter_counts, is_cyclically_reduced
 from .conftest import (free_retraction_certificate, is_cyclic_normal, is_normal,
@@ -536,3 +536,58 @@ def test_random_graph_normal_form_is_idempotent(case):
     for x in (w, u, u + w):
         nf = normal_form(g, x)
         assert normal_form(g, nf) == nf
+
+
+def test_answers_do_not_depend_on_generator_numbering():
+    """Normal forms depend on the order of the generators; the answers
+    must not.  Each random graph is built again with its generators
+    renumbered by a random permutation, and every word is mapped letter
+    by letter.  Conjugacy answers on YES pairs (a conjugate, rotated),
+    on sign-flip NO pairs and on equal-count pairs (one adjacent
+    transposition of non-commuting letters, then a rotation), word
+    problems and the length of the normal form all stay the same."""
+    rng = random.Random(31)
+    swapped = []
+    for _ in range(300):
+        n = rng.randrange(2, 13)
+        g = random_graph(rng, n)
+        perm = rng.sample(range(1, n + 1), n)  # generator i is perm[i - 1] in h
+        names = [None] * n
+        for i, name in enumerate(g.names):
+            names[perm[i] - 1] = name
+        h = build_graph(names, [(g.name(i), g.name(j)) for i in range(1, n + 1)
+                                for j in range(i + 1, n + 1) if g.commutes(i, j)])
+        assert all(h.noncommute[perm[i - 1]] == {perm[j - 1] for j in g.noncommute[i]}
+                   for i in range(1, n + 1))
+
+        def renumber(w):
+            return tuple(letter_row(perm[l.gen - 1])[l.sign] for l in w)
+
+        w = random_word(g, rng.randrange(1, 40), rng)
+        c = random_word(g, rng.randrange(0, 8), rng)
+        k = rng.randrange(len(w))
+        pairs = {"yes": inverse_word(c) + w[k:] + w[:k] + c}
+        i = rng.randrange(len(w))
+        pairs["flip"] = w[:i] + (letter_row(w[i].gen)[-w[i].sign],) + w[i + 1:]
+        seams = [i for i in range(len(w) - 1)
+                 if w[i].gen != w[i + 1].gen and not g.commutes(w[i].gen, w[i + 1].gen)]
+        if seams:
+            i = rng.choice(seams)
+            v = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            pairs["swap"] = v[k:] + v[:k]
+        for kind, v in pairs.items():
+            got = conjugate_in_raag(g, w, v)
+            assert conjugate_in_raag(h, renumber(w), renumber(v)) is got, (kind, g, w, v)
+            if kind == "swap":
+                swapped.append(got)
+            else:
+                assert got is (kind == "yes")
+        x = w
+        for _ in range(rng.randrange(0, 4)):
+            x = random_equivalent_rewrite(g, x, rng)
+        for u in (w + inverse_word(x), w + inverse_word(pairs["flip"])):
+            trivial = pi_star(g, u).signed_count == 0
+            assert (pi_star(h, renumber(u)).signed_count == 0) is trivial
+            assert trivial is (u[len(w):] == inverse_word(x))
+        assert len(normal_form(h, renumber(w))) == len(normal_form(g, w))
+    assert swapped.count(False) >= 50 and True in swapped, swapped

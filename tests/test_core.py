@@ -228,3 +228,26 @@ def test_parse_presentation_errors():
         with pytest.raises(PresentationError) as err:
             parse_presentation(text)
         assert str(err.value) == message
+
+
+def test_presentation_line_syntax():
+    """Comments after fields or glued to the last token, tabs, CRLF line
+    ends, comment-only lines and trailing blank lines all read as the
+    plain file does."""
+    plain = parse_presentation("gens a b c\ncommute a b\ncommute b c")
+    for text in ("gens a b c # three\ncommute a b # one pair\ncommute b c",
+                 "gens a b c#three\ncommute a b#c\ncommute b c#",
+                 "gens\ta b\t\tc\n\tcommute a\tb\ncommute b c\t",
+                 "gens a b c\r\ncommute a b\r\ncommute b c\r\n",
+                 "# head\n  # indented\ngens a b c\n#\ncommute a b\ncommute b c\n\n\n  \n"):
+        assert parse_presentation(text) == plain, text
+
+
+def test_presentation_reports_the_earlier_of_two_errors():
+    for text, message in (
+            ("gens a b\ncommute a\nfrobnicate a", "<string>:2: 'commute' takes exactly two names"),
+            ("gens a b\nfrobnicate a\ncommute a", "<string>:2: unknown directive 'frobnicate'"),
+            ("gens a b\r\n# c\r\ngens c\r\ncommute", "<string>:3: repeated 'gens' line")):
+        with pytest.raises(PresentationError) as err:
+            parse_presentation(text)
+        assert str(err.value) == message

@@ -81,6 +81,58 @@ def test_parse_complex_errors():
         assert str(err.value) == message
 
 
+def test_complex_line_syntax():
+    """Comments after fields or glued to the last token (``a1#x`` is the
+    label a1), tabs, CRLF line ends, comment-only lines and trailing
+    blank lines all read as the plain file does."""
+    plain = parse_complex("vertices x1 x2\nedge e1 x1 x1 a1\nedge e2 x1 x2 a2\n"
+                          "square e1 e2 e1 e2", FREE2)
+    for text in ("vertices x1 x2 # two\nedge e1 x1 x1 a1 # loop\nedge e2 x1 x2 a2\n"
+                 "square e1 e2 e1 e2 # not closing",
+                 "vertices x1 x2#\nedge e1 x1 x1 a1#x\nedge e2 x1 x2 a2#\nsquare e1 e2 e1 e2#e3",
+                 "vertices\tx1 x2\n\tedge e1\tx1 x1\t\ta1\nedge e2 x1 x2 a2\t\nsquare e1 e2 e1 e2",
+                 "vertices x1 x2\r\nedge e1 x1 x1 a1\r\nedge e2 x1 x2 a2\r\nsquare e1 e2 e1 e2\r\n",
+                 "# head\n  # indented\nvertices x1 x2\n#\nedge e1 x1 x1 a1\nedge e2 x1 x2 a2\n"
+                 "square e1 e2 e1 e2\n\n\n  \n"):
+        cx = parse_complex(text, FREE2)
+        assert (cx.vertices, cx.edges, cx.squares) == (plain.vertices, plain.edges, plain.squares)
+        assert cx._out == plain._out
+    assert plain.edges[0] == Edge("e1", "x1", "x1", 1)
+    assert plain.squares == (("e1", "e2", "e1", "e2"),)
+
+
+def test_complex_reports_the_earlier_of_two_errors():
+    """A label error raised while an edge line is read comes before a
+    later line's error, and a line error before a later label's."""
+    for text, message in (
+            ("vertices x1\nedge e1 x1 x1 zz\nbogus", "<string>:2: unknown generator label 'zz'"),
+            ("vertices x1\nedge e1 x1\nedge e2 x1 x1 zz",
+             "<string>:2: 'edge' takes id, src, dst, label"),
+            ("vertices x1\r\n\r\nsquare e1\r\nvertices x2",
+             "<string>:3: 'square' takes four edge ids"),
+            ("vertices x1\nedge e1 x1 x1 a1#\nedge e2 x1 x1 a3 # zz\nedge e3",
+             "<string>:3: unknown generator label 'a3'")):
+        with pytest.raises(ComplexSyntaxError) as err:
+            parse_complex(text, FREE2)
+        assert str(err.value) == message
+
+
+def test_square_records_are_read_id_by_id():
+    """A record's ids are looked up in order, so one that is not four
+    ids still gets the problem line of its first unknown id; with all
+    of its ids known it cannot be unpacked."""
+    g, cx = square_complex()
+    for record, problem in ((("f1", "zz", "f1"), "unknown edge id 'zz'"),
+                            (("f1", "f3", "f1", "f2", "zz"), "unknown edge id 'zz'"),
+                            (("zz",), "unknown edge id 'zz'")):
+        report = validate(CubeComplexMap(cx.vertices, cx.edges, [record]), g)
+        assert report.problems[0] == f"square {record}: {problem}"
+        assert not report.squares_ok
+    for record in (("f1", "f3", "f1"), ("f1", "f3", "f1", "f2", "f2")):
+        with pytest.raises(ValueError):
+            validate(CubeComplexMap(cx.vertices, cx.edges, [record]), g)
+
+
 def test_validate_ok():
     report = validate(TRAP, FREE2)
     assert report.ok
@@ -571,7 +623,7 @@ def abelian_cover(g, m1, m2, phi):
 def test_validate_memory_per_square(example_graph):
     """Corners are ints, not (vertex, frozenset) pairs: on the 1,024-vertex
     cover with 3,072 squares, validate's tracemalloc peak stays under
-    640 bytes a square (about 330 here; the per-pair check peaked at
+    640 bytes a square (about 460 here; the per-pair check peaked at
     about 1,300)."""
     g = example_graph
     cx = abelian_cover(g, 32, 32, [(1, 0), (0, 1), (5, 3), (2, 7)])
