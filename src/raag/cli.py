@@ -5,6 +5,11 @@ Exit codes: 0 for completed decisions (YES and NO alike), 2 for an
 inputs cause (``main`` alone catches it), 1 with a traceback for any
 other exception, an internal failure.
 
+``main`` alone reads and prints: it loads the presentation, parses
+``-w`` and ``-v`` and loads ``-x`` where the subcommand declares them,
+and hands them to the subcommand's ``cmd_*(args, g, *inputs)``, which
+decides and returns the pair of closures that ``_emit`` prints.
+
 Each process loads only what its subcommand needs: ``word-problem``,
 ``normal-form``, ``cyclic-normal-form`` and ``conjugate`` run on
 ``core``, ``piling`` and ``conjugacy``, which this module imports.
@@ -46,45 +51,39 @@ def _factor_report(g, factors):
     }
 
 
-def cmd_normal_form(args):
-    g = load_presentation(args.group)
-    nf = normal_form(g, parse_word(g, args.word))
+def cmd_normal_form(args, g, w):
+    nf = normal_form(g, w)
     text = format_word(g, nf)
-    _emit(args, lambda: {"normal_form": text, "length": len(nf)}, lambda: text)
+    return lambda: {"normal_form": text, "length": len(nf)}, lambda: text
 
 
-def cmd_cyclic_normal_form(args):
-    g = load_presentation(args.group)
-    factors = cyclic_normal_factors(g, parse_word(g, args.word))
+def cmd_cyclic_normal_form(args, g, w):
+    factors = cyclic_normal_factors(g, w)
     payload = _factor_report(g, factors)  # the text prints every factor too
     lines = [f"{len(factors.factors)} factor(s)"]
     for comp, f in zip(payload["components"], payload["factors"]):
         lines.append(f"  [{' '.join(comp)}]: {f}")
-    _emit(args, lambda: payload, lambda: "\n".join(lines))
+    return lambda: payload, lambda: "\n".join(lines)
 
 
-def cmd_word_problem(args):
-    g = load_presentation(args.group)
-    trivial = pi_star(g, parse_word(g, args.word)).signed_count == 0
-    _emit(args, lambda: {"identity": trivial},
-          lambda: "YES (identity)" if trivial else "NO (non-trivial)")
+def cmd_word_problem(args, g, w):
+    trivial = pi_star(g, w).signed_count == 0
+    return (lambda: {"identity": trivial},
+            lambda: "YES (identity)" if trivial else "NO (non-trivial)")
 
 
-def cmd_conjugate(args):
-    g = load_presentation(args.group)
-    fw = cyclic_normal_factors(g, parse_word(g, args.word))
-    fv = cyclic_normal_factors(g, parse_word(g, args.other))
+def cmd_conjugate(args, g, w, v):
+    fw, fv = cyclic_normal_factors(g, w), cyclic_normal_factors(g, v)
     ans = _factor_rotations(fw, fv) is not None
-    _emit(args, lambda: {"conjugate": ans, "left": _factor_report(g, fw),
-                         "right": _factor_report(g, fv)},
-          lambda: "YES" if ans else "NO")
+    return (lambda: {"conjugate": ans, "left": _factor_report(g, fw),
+                     "right": _factor_report(g, fv)},
+            lambda: "YES" if ans else "NO")
 
 
-def cmd_centralizer(args):
+def cmd_centralizer(args, g, w):
     from .centralizer import centralizer_generators
 
-    g = load_presentation(args.group)
-    factors = cyclic_normal_factors(g, parse_word(g, args.word))
+    factors = cyclic_normal_factors(g, w)
     gens = centralizer_generators(g, factors)
     link_gens = [g.name(i) for i in sorted(gens.link_gens)]
 
@@ -103,39 +102,34 @@ def cmd_centralizer(args):
             lines.append(f"  link generator: {name}")
         return "\n".join(lines)
 
-    _emit(args, payload, human)
+    return payload, human
 
 
-def cmd_validate_complex(args):
-    from .cubecomplex import load_complex, validate
+def cmd_validate_complex(args, g, cx):
+    from .cubecomplex import validate
 
-    g = load_presentation(args.group)
-    report = validate(load_complex(args.complex, g), g)
-    _emit(args, lambda: {"ok": report.ok, **report._asdict()}, report.summary)
+    report = validate(cx, g)
+    return lambda: {"ok": report.ok, **report._asdict()}, report.summary
 
 
-def cmd_groupoid_conjugate(args):
-    from .cubecomplex import groupoid_conjugate, load_complex, parse_based_word, validate
+def cmd_groupoid_conjugate(args, g, cx):
+    from .cubecomplex import groupoid_conjugate, parse_based_word, validate
 
-    g = load_presentation(args.group)
-    cx = load_complex(args.complex, g)
     report = validate(cx, g)
     if not report.ok:
         raise InputError("complex failed validation:\n" + report.summary())
     ans = groupoid_conjugate(cx, g, parse_based_word(cx, g, args.loop1),
                              parse_based_word(cx, g, args.loop2))
-    _emit(args, lambda: {"freely_homotopic": ans}, lambda: "YES" if ans else "NO")
+    return lambda: {"freely_homotopic": ans}, lambda: "YES" if ans else "NO"
 
 
-def cmd_oracle(args):
+def cmd_oracle(args, g, w, v):
     """``oracle-equal`` and ``oracle-conjugate``: the brute-force decider
     ``oracle_<key>``, whose answer goes under ``key`` in the JSON."""
     from . import oracle
 
-    g = load_presentation(args.group)
-    decide = getattr(oracle, f"oracle_{args.key}")
-    ans = decide(g, parse_word(g, args.word), parse_word(g, args.other))
-    _emit(args, lambda: {args.key: ans}, lambda: "YES" if ans else "NO")
+    ans = getattr(oracle, f"oracle_{args.key}")(g, w, v)
+    return lambda: {args.key: ans}, lambda: "YES" if ans else "NO"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help, words=0, **defaults):
+    def add(name, fn, help, words=0, on_complex=False, **defaults):
         p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn, **defaults)
         p.add_argument("-g", "--group", required=True, help="presentation file")
@@ -157,6 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-w", "--word", required=True)
         if words == 2:
             p.add_argument("-v", "--other", required=True)
+        if on_complex:
+            p.add_argument("-x", "--complex", required=True, help="complex file")
         return p
 
     add("normal-form", cmd_normal_form, "print the normal form of a word", 1)
@@ -166,11 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("conjugate", cmd_conjugate, "decide conjugacy of two words", 2)
     add("centralizer", cmd_centralizer,
         "canonical centralizer generators of the cyclically reduced conjugate", 1)
-    p = add("validate-complex", cmd_validate_complex, "check a complex file")
-    p.add_argument("-x", "--complex", required=True, help="complex file")
+    add("validate-complex", cmd_validate_complex, "check a complex file", on_complex=True)
     p = add("groupoid-conjugate", cmd_groupoid_conjugate,
-            "decide free homotopy of two based loops")
-    p.add_argument("-x", "--complex", required=True, help="complex file")
+            "decide free homotopy of two based loops", on_complex=True)
     p.add_argument("--loop1", required=True, help="based word '<vertex>: <word>'")
     p.add_argument("--loop2", required=True, help="based word '<vertex>: <word>'")
     for key, what in (("equal", "equality"), ("conjugate", "conjugacy")):
@@ -182,7 +176,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args._t0 = time.perf_counter()
     try:
-        args.fn(args)
+        g = load_presentation(args.group)
+        # the word options are declared only for the subcommands that take them
+        inputs = [parse_word(g, getattr(args, k)) for k in ("word", "other") if hasattr(args, k)]
+        if hasattr(args, "complex"):
+            from .cubecomplex import load_complex
+            inputs.append(load_complex(args.complex, g))
+        _emit(args, *args.fn(args, g, *inputs))
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -2,9 +2,11 @@
 one-vertex complex, and the free-homotopy decision for loops.
 
 Vertices and labeled oriented edges describe the 1-skeleton together
-with its labeling; optional square records let us check the local
-convexity hypothesis.  Paths are coded as based words: a start vertex
-plus a word whose letters are followed through the edge lookup table.
+with its labeling; optional square records list the squares, which
+otherwise the 1-skeleton implies, and ``validate`` checks the local
+convexity hypothesis against either.  Paths are coded as based words:
+a start vertex plus a word whose letters are followed through the edge
+lookup table.
 A complex keeps one table: every vertex name gets an integer id, and
 each id has a letter -> next id map built straight from the edges and
 keyed by the interned letters of ``core.letter_row``.  Walks run on it;
@@ -128,13 +130,11 @@ class ValidationReport(NamedTuple):
         lines.append(f"labels: {'ok' if self.labels_ok else 'VIOLATED'}")
         if self.convexity_ok is not None:
             lines.append(f"convexity: {'ok' if self.convexity_ok else 'VIOLATED'}")
-        elif self.convexity_checked:
-            # squares were given, but a problem below left them unusable
+        else:
+            # a problem below left the squares, given or implied, unusable
             why = [what for ok, what in ((self.vertices_ok, "unknown or repeated vertex"),
                                          (self.labels_ok, "label out of range")) if not ok]
             lines.append(f"convexity: not checked ({', '.join(why) or 'repeated edge id'})")
-        else:
-            lines.append("convexity: not checked (no squares given; hypothesis assumed)")
         lines.append("injectivity of universal covers: not checked (assumed)")
         lines.extend(self.problems)
         return "\n".join(lines)
@@ -213,8 +213,8 @@ def _square_corners(cx: CubeComplexMap, g: DefiningGraph,
 
 def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     """Checks local determinism, label ranges, that no vertex name (nor,
-    when squares are given, edge id) repeats, and the squares and the
-    convexity hypothesis at every vertex when squares are given.  Global
+    when squares are given, edge id) repeats, the squares when they are
+    given, and the convexity hypothesis at every vertex.  Global
     injectivity of universal covers is assumed, never verified.  It reads
     the vertex ids and the walk table that the constructor resolved:
     one map gives each edge id the ids of its ends and its label, each
@@ -230,7 +230,12 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     complex is convex exactly when they are as many as all those pairs.
     The pairs are counted once per distinct tuple of directions, and
     only when the corners fall short are they walked, to name the
-    missing ones."""
+    missing ones.
+
+    Without square records every such corner implies its square: from
+    the vertex, d1 then d2 and d2 then d1 must both trace and end at the
+    same vertex.  That walks every commuting pair, O(sum of deg^2), and
+    is what keeps ``groupoid_conjugate``'s carried bases traceable."""
     problems: list[str] = []
     ids = cx._ids
 
@@ -262,6 +267,13 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     squares_ok = True
     convexity_ok: bool | None = None
     convexity_checked = cx.squares is not None
+    # called only once labels are range-checked, so commutation is a set lookup
+    noncommute = g.noncommute
+
+    def commuting(directions):
+        return [(d1, d2) for d1, d2 in combinations(directions, 2)
+                if d1.gen != d2.gen and d2.gen not in noncommute[d1.gen]]
+
     if convexity_checked:
         get = ids.__getitem__
         ends = dict(zip(eids, zip(map(get, srcs), map(get, dsts), labels)))
@@ -270,13 +282,6 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
             _repeats("edge id", eids, problems)
     if convexity_checked and squares_ok and labels_ok and vertices_ok:
         provided, squares_ok = _square_corners(cx, g, ends, problems)
-        # labels are range-checked by now, so commutation is a set lookup
-        noncommute = g.noncommute
-
-        def commuting(directions):
-            return [(d1, d2) for d1, d2 in combinations(directions, 2)
-                    if d1.gen != d2.gen and d2.gen not in noncommute[d1.gen]]
-
         need = sum(k * len(commuting(d)) for d, k in Counter(map(tuple, cx._out)).items())
         convexity_ok = len(provided) == need
         if not convexity_ok:
@@ -289,6 +294,18 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
                              if _corner(k, d1, d2, m, n_ids) not in provided]
     elif convexity_checked:
         squares_ok = False
+    elif labels_ok and vertices_ok:
+        # no squares given: each corner's square is implied, so both of
+        # its two-letter walks must trace and meet; vertex ids follow the
+        # records, as no name repeats or is undeclared
+        out = cx._out
+        open_corners = [f"convexity violation at vertex {x}: commuting "
+                        f"directions {d1} and {d2} close no square"
+                        for k, x in enumerate(cx.vertices) for d1, d2 in commuting(out[k])
+                        if (y := _walk(out, k, (d1, d2))) is None
+                        or y != _walk(out, k, (d2, d1))]
+        convexity_ok = not open_corners
+        problems += open_corners
 
     return ValidationReport(determinism_ok, labels_ok, vertices_ok,
                             squares_ok, convexity_checked, convexity_ok, problems)

@@ -2,6 +2,7 @@ import contextlib
 import faulthandler
 import os
 import random
+import resource
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,11 @@ from raag.piling import _fold, _top_run
 # traceback and exits; the slowest test takes about 6 s under -X dev.
 TEST_TIME_LIMIT = 120
 
+# Bytes of address space the test process may map (its soft RLIMIT_AS);
+# a clean tier-1 run under -X dev peaks near 230 MB, so a test whose
+# memory runs away fails with MemoryError rather than exhausting the host.
+TEST_MEMORY_LIMIT = 1 << 30
+
 
 @pytest.fixture(scope="session")
 def terminal_stderr(request):
@@ -24,6 +30,17 @@ def terminal_stderr(request):
         fd = os.dup(2)
     with os.fdopen(fd, "w") as stream:
         yield stream
+
+
+@pytest.fixture(scope="session", autouse=True)
+def memory_guard():
+    """Lower the soft address-space limit to TEST_MEMORY_LIMIT for the
+    session; a lower limit already set is kept."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = min(x for x in (soft, hard, TEST_MEMORY_LIMIT) if x != resource.RLIM_INFINITY)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 @pytest.fixture(autouse=True)

@@ -116,6 +116,18 @@ def test_conjugate_factors_each_word_once(group_file, capsys, monkeypatch):
     assert len(calls) == 2
 
 
+def test_bad_second_word_fails_before_the_first_is_factored(group_file, capsys, monkeypatch):
+    """``main`` parses both words before ``conjugate`` decides, so a bad
+    ``-v`` exits 2 with nothing factored."""
+    import raag.cli
+    calls = []
+    monkeypatch.setattr(raag.cli, "cyclic_normal_factors", lambda g, w: calls.append(w))
+    code, out, err = run(capsys, "conjugate", "-g", group_file, "--no-timing",
+                         "-w", "a1 a2", "-v", "a1 zz")
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and "'zz'" in err
+
+
 def test_text_output_builds_no_json_report(group_file, capsys, monkeypatch):
     """Without --json, conjugate and centralizer print their text and
     format no factor report for a payload that is never printed."""
@@ -334,6 +346,7 @@ def raag_process(argv, script=None):
 
 
 FREE = "examples/free.group"
+EXAMPLE = "examples/example.group"
 TRAP = "examples/trap.complex"
 LOOPS = ["--loop1", "x1: a1", "--loop2", "x1: a1"]
 
@@ -363,6 +376,12 @@ HOSTILE = {
                         "complex failed validation"),
     "repeated_edge_id": (["groupoid-conjugate", "-g", "{commuting}", "-x", "{repeated_ids}",
                           *LOOPS], "repeated edge id 'e1'"),
+    "replay_corner": (["groupoid-conjugate", "-g", EXAMPLE, "-x", "{replay_corner}",
+                       "--loop1", "v1: a4^-1 a4 a2 a4 a3 a4^-1 a2^-1", "--loop2", "v1: a3"],
+                      "convexity violation at vertex v1"),
+    "wrong_yes_corner": (["groupoid-conjugate", "-g", EXAMPLE, "-x", "{wrong_yes_corner}",
+                          "--loop1", "x: a1 a4 a4 a1^-1 a4^-1 a4^-1 a1", "--loop2", "x: a1"],
+                         "convexity violation at vertex x"),
     "oracle_bound": (["oracle-equal", "-g", FREE, "-w", "a1 " * 9, "-v", "a2 " * 9],
                      "exceeds 16"),
 }
@@ -377,7 +396,12 @@ def hostile_files(tmp_path):
             ("nondeterministic", b"vertices x1 x2\nedge e1 x1 x1 a1\nedge e2 x1 x2 a1\n"),
             ("commuting", b"gens a1 a2\ncommute a1 a2\n"),
             ("repeated_ids", b"vertices x1 x2\nedge e1 x1 x1 a1\nedge e2 x1 x1 a2\n"
-                             b"square e1 e2 e1 e2\nedge e1 x2 x2 a1\n")):
+                             b"square e1 e2 e1 e2\nedge e1 x2 x2 a1\n"),
+            # squareless, with commuting corners that close no square
+            ("replay_corner", b"vertices v0 v1\nedge e0 v0 v1 a4\nedge e1 v1 v0 a2\n"
+                              b"edge e2 v1 v1 a3\n"),
+            ("wrong_yes_corner", b"vertices x y\nedge e1 x x a1\nedge e2 x y a4\n"
+                                 b"edge e3 y x a4\n")):
         files[name] = tmp_path / name
         files[name].write_bytes(content)
     return {name: str(path) for name, path in files.items()}

@@ -233,6 +233,107 @@ def test_validate_summary_says_why_convexity_was_not_checked():
             in report.summary().splitlines())
 
 
+EXAMPLE = build_graph(("a1", "a2", "a3", "a4"), [("a1", "a4"), ("a2", "a3"), ("a2", "a4")])
+
+# squareless complexes over EXAMPLE that are deterministic but leave a
+# commuting corner open: at v1 a4^-1 leads to v0, where no a2 leaves
+# (the conjugator of a loop pair once failed to trace there), and x's
+# a1-loop meets a4-edges that close no square ([s, t]·s and s, with
+# s = a1 and t = a4^2, are not freely homotopic)
+OPEN_CORNERS = {
+    "replay": ("vertices v0 v1\nedge e0 v0 v1 a4\nedge e1 v1 v0 a2\nedge e2 v1 v1 a3",
+               "convexity violation at vertex v1: commuting directions "
+               f"{Letter(4, -1)} and {Letter(2, 1)} close no square"),
+    "wrong_yes": ("vertices x y\nedge e1 x x a1\nedge e2 x y a4\nedge e3 y x a4",
+                  "convexity violation at vertex x: commuting directions "
+                  f"{Letter(1, 1)} and {Letter(4, 1)} close no square"),
+}
+
+
+@pytest.mark.parametrize("case", OPEN_CORNERS)
+def test_squareless_complex_with_an_open_corner_is_not_convex(case):
+    text, problem = OPEN_CORNERS[case]
+    report = validate(parse_complex(text, EXAMPLE), EXAMPLE)
+    assert not report.ok and not report.convexity_checked
+    assert (report.determinism_ok, report.labels_ok, report.vertices_ok,
+            report.squares_ok, report.convexity_ok) == (True, True, True, True, False)
+    assert problem in report.problems
+    assert "convexity: VIOLATED" in report.summary().splitlines()
+
+
+def test_squareless_complex_closing_its_corners_is_convex():
+    """Implied squares: the corners of an a2-edge and a3-loops at both
+    ends close, and pairs of one generator or of non-commuting ones are
+    no corners."""
+    cx = parse_complex("vertices x y\nedge e1 x y a2\nedge e2 x x a3\nedge e3 y y a3\n"
+                       "edge e4 x x a1", EXAMPLE)
+    report = validate(cx, EXAMPLE)
+    assert report.ok and report.convexity_ok and not report.convexity_checked
+    assert report.summary().splitlines()[3] == "convexity: ok"
+    # the a3-loop at y moved to x: a2 then a3 no longer traces from x
+    cx = parse_complex("vertices x y\nedge e1 x y a2\nedge e2 x x a3\nedge e3 x x a3", EXAMPLE)
+    report = validate(cx, EXAMPLE)
+    assert report.convexity_ok is False and not report.determinism_ok
+
+
+def random_squareless_complex(rng):
+    """One to three vertices and up to eight edges over EXAMPLE."""
+    vs = [f"v{i}" for i in range(rng.randrange(1, 4))]
+    edges = [Edge(f"e{i}", rng.choice(vs), rng.choice(vs), rng.randrange(1, 5))
+             for i in range(rng.randrange(1, 9))]
+    return CubeComplexMap(vs, edges)
+
+
+def random_walk(cx, k, length, rng):
+    """Letters of a random walk of at most ``length`` steps from the
+    vertex with id k, and the ids it visits, k first."""
+    w, ids = [], [k]
+    for _ in range(length):
+        if not cx._out[k]:
+            break
+        l = rng.choice(list(cx._out[k]))
+        k = cx._out[k][l]
+        w.append(l)
+        ids.append(k)
+    return tuple(w), ids
+
+
+def random_freely_homotopic_pairs(cx, rng, count):
+    """Pairs of based loops, the second a loop of the first's free
+    homotopy class: a closed walk from a random vertex, conjugated along
+    a random path and then rotated, so the decider has conjugator
+    letters to carry its bases along."""
+    names = cx._names
+    for _ in range(count):
+        k = rng.randrange(len(cx.vertices))
+        w, ids = random_walk(cx, k, rng.randrange(1, 12), rng)
+        w = w[:max(i for i, x in enumerate(ids) if x == k)]  # cut at the last return
+        p, ids = random_walk(cx, k, rng.randrange(0, 5), rng)
+        w2 = inverse_word(p) + w + p
+        r = rng.randrange(len(w2) + 1)
+        yield (based_word(cx, names[k], w),
+               based_word(cx, trace(cx, names[ids[-1]], w2[:r]), w2[r:] + w2[:r]))
+
+
+def test_loops_on_valid_squareless_complexes_always_replay():
+    """On squareless complexes that validate, every conjugator letter
+    traces: no ReplayFailure, and the pairs built freely homotopic are
+    answered YES.  Without the implied-square check the same seed draws
+    346 complexes that validate rather than 228, and 44 of their pairs,
+    on 27 complexes, raise ReplayFailure."""
+    rng = random.Random(32)
+    valid = pairs = 0
+    for _ in range(1000):
+        cx = random_squareless_complex(rng)
+        if not validate(cx, EXAMPLE).ok:
+            continue
+        valid += 1
+        for bw1, bw2 in random_freely_homotopic_pairs(cx, rng, 10):
+            assert groupoid_conjugate(cx, EXAMPLE, bw1, bw2)
+            pairs += 1
+    assert valid > 200 and pairs == 10 * valid
+
+
 def test_trace_and_based_word():
     assert trace(TRAP, "x1", parse_word(FREE2, "a2 a1 a2^-1")) == "x1"
     assert trace(TRAP, "x1", parse_word(FREE2, "a2 a2")) is None
@@ -568,6 +669,23 @@ def reference_validate(cx, g):
                         f"directions {d1} and {d2} have no square corner")
     elif convexity_checked:
         squares_ok = False
+    elif labels_ok and vertices_ok:
+        # no squares: each commuting corner implies its square, so both
+        # two-letter walks over the eager table must trace and meet
+        convexity_ok = True
+        directions = {x: [] for x in cx.vertices}
+        for (v, l) in delta:
+            directions[v].append(l)
+        for x in cx.vertices:
+            for d1, d2 in combinations(directions[x], 2):
+                if not g.commutes(d1.gen, d2.gen):
+                    continue
+                ends = [delta.get((delta.get((x, a)), b)) for a, b in ((d1, d2), (d2, d1))]
+                if None in ends or ends[0] != ends[1]:
+                    convexity_ok = False
+                    problems.append(
+                        f"convexity violation at vertex {x}: commuting "
+                        f"directions {d1} and {d2} close no square")
     return ValidationReport(not multi, labels_ok, vertices_ok, squares_ok,
                             convexity_checked, convexity_ok, problems)
 
