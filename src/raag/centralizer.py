@@ -38,7 +38,7 @@ def minimal_root(w: Word) -> tuple[Word, int]:
 
 def centralizer_generators(g: DefiningGraph, factors: CyclicNormalFactors) -> CentralizerGens:
     roots = tuple(minimal_root(f) for f in factors.factors)
-    support = {l.gen for f in factors.factors for l in f}
+    support = frozenset().union(*factors.components)
     # the generators outside the support that commute with all of it
     link = frozenset(range(1, g.n + 1)).difference(support, *(g.noncommute[s] for s in support))
     return CentralizerGens(roots, link)

@@ -44,7 +44,8 @@ def cyclic_normal_factors(g: DefiningGraph, w: Word) -> CyclicNormalFactors:
     together, then extract each component's factor alone.  Components
     never share a stack, so factor k is exactly the letters that an
     extraction of component k's stacks emits, in its own order."""
-    return _drain_factors(_pyramid(g, *_reduce(g, w)))
+    p, events = _reduce(g, w)
+    return _drain_factors(p, *_pyramid(g, p, events))
 
 
 def _reduce(g: DefiningGraph, w: Word) -> tuple[Piling, list[Letter]]:
@@ -55,37 +56,30 @@ def _reduce(g: DefiningGraph, w: Word) -> tuple[Piling, list[Letter]]:
     return p, _cyclic_reduce(p)
 
 
-class _Pyramid(NamedTuple):
-    """A cyclic normal form before extraction: ``CyclicNormalFactors``
-    with the pyramidal piling in place of the factors."""
-
-    components: tuple[tuple[int, ...], ...]
-    piling: Piling
-    events: Word
-
-
-def _pyramid(g: DefiningGraph, p: Piling, events: list[Letter]) -> _Pyramid:
+def _pyramid(g: DefiningGraph, p: Piling, events: Sequence[Letter]
+             ) -> tuple[tuple[tuple[int, ...], ...], Word]:
     """The first step of ``cyclic_normal_factors`` from the cyclic
-    reduction on: p is the cyclically reduced piling, pyramidalized in
-    place, and events the letters of its reduction, to which the cycled
-    letters are appended as ``pyramidalize`` returns them."""
+    reduction on: pyramidalize the cyclically reduced piling p in place,
+    and return its components and a fresh events tuple, the letters of
+    its reduction followed by the cycled letters as ``pyramidalize``
+    returns them."""
     if p.is_empty():
-        return _Pyramid((), p, tuple(events))
+        return (), tuple(events)
     components = support_components(g, p.support())
-    events += _pyramidalize(p, {c[0] for c in components})[0]
-    return _Pyramid(components, p, tuple(events))
+    return components, (*events, *_pyramidalize(p, {c[0] for c in components})[0])
 
 
-def _drain_factors(pyr: _Pyramid) -> CyclicNormalFactors:
-    """The second step: extract the pyramidal piling one component at a
+def _drain_factors(p: Piling, components: tuple[tuple[int, ...], ...],
+                   events: Word) -> CyclicNormalFactors:
+    """The second step: extract the pyramidal piling p one component at a
     time, skipping the stacks of all the others; ``_drain`` takes the last
     component, once the others are empty, and checks that nothing is left."""
-    stacks = frozenset(chain.from_iterable(pyr.components))
-    factors = [tuple(_extract(pyr.piling, stacks.difference(c))) for c in pyr.components[:-1]]
-    last = _drain(pyr.piling)
-    if pyr.components:
+    stacks = frozenset(chain.from_iterable(components))
+    factors = [tuple(_extract(p, stacks.difference(c))) for c in components[:-1]]
+    last = _drain(p)
+    if components:
         factors.append(last)
-    return CyclicNormalFactors(tuple(factors), pyr.components, pyr.events)
+    return CyclicNormalFactors(tuple(factors), components, events)
 
 
 def _prefix_function(pattern) -> list[int]:
@@ -146,13 +140,14 @@ def _factor_rotations(fw: CyclicNormalFactors, fv: CyclicNormalFactors) -> list[
 
 def _align(g: DefiningGraph, w: Word, v: Word
            ) -> tuple[Iterable[Letter], Sequence[Letter],
-                      Callable[[], tuple[Sequence[Letter], CyclicNormalFactors]]] | None:
+                      Callable[[], CyclicNormalFactors]] | None:
     """The conjugacy decision of w and v, as both deciders share it: None
-    for NO, else ``(c_w, c_v, rest)`` with c_w^-1 w c_w = c_v^-1 v c_v.
-    ``rest()``, called at most once, returns a word d and v's factors f
-    with d^-1 (c_v^-1 v c_v) d = concat(f): the word along which both
-    carried bases go on together to v's cyclic normal form, and that
-    form, whose centralizer a loop decision searches.
+    for NO, else ``(c_w, c_v, factors_v)`` with c_w^-1 w c_w = c_v^-1 v c_v.
+    ``factors_v()``, called at most once, returns exactly
+    ``cyclic_normal_factors(g, v)``, and c_v is a prefix of its events.
+    The rest of those events is the word d along which both carried
+    bases go on together to v's cyclic normal form, d^-1 (c_v^-1 v c_v) d
+    = concat(factors), whose centralizer a loop decision searches.
 
     The tiers, each exact, cheapest first:
 
@@ -165,12 +160,11 @@ def _align(g: DefiningGraph, w: Word, v: Word
     - Equal cyclically reduced pilings are YES before either is
       pyramidalized, with c_w and c_v the letters of the two reductions.
       Pyramidalize is deterministic, so equal pilings cycle the same
-      letters into equal pyramids and equal factors.  ``rest``
-      pyramidalizes and drains v's piling alone; d is its cycled
-      letters, which are also all of f's events.
+      letters into equal pyramids and equal factors.  ``factors_v``
+      pyramidalizes and drains v's piling alone; d is its cycled letters.
     - Equal pyramidal pilings are YES before either is extracted, with
       c_w and c_v the two events: equal pilings extract to equal
-      factors, so every rotation is 0.  ``rest`` drains v's pyramid
+      factors, so every rotation is 0.  ``factors_v`` drains v's pyramid
       alone; d is empty.
     - Otherwise both are extracted, and ``_factor_rotations`` finds the
       rotation t_k that carries each factor u_k of w onto v's; none is
@@ -184,23 +178,20 @@ def _align(g: DefiningGraph, w: Word, v: Word
     if _letter_counts(pw) != _letter_counts(pv):
         return None
     if pw == pv:
-        def rest():
-            yv = _pyramid(g, pv, [])  # its events are the cycled letters alone
-            return yv.events, _drain_factors(yv)
-        return ew, ev, rest
+        return ew, ev, lambda: _drain_factors(pv, *_pyramid(g, pv, ev))
     yw, yv = _pyramid(g, pw, ew), _pyramid(g, pv, ev)
-    if yw.piling == yv.piling:
-        return yw.events, yv.events, lambda: ((), _drain_factors(yv))
-    fw, fv = _drain_factors(yw), _drain_factors(yv)
+    if pw == pv:
+        return yw[1], yv[1], lambda: _drain_factors(pv, *yv)
+    fw, fv = _drain_factors(pw, *yw), _drain_factors(pv, *yv)
     rotations = _factor_rotations(fw, fv)
     if rotations is None:
         return None
-    return chain(fw.events, *map(islice, fw.factors, rotations)), fv.events, lambda: ((), fv)
+    return chain(fw.events, *map(islice, fw.factors, rotations)), fv.events, lambda: fv
 
 
 def conjugate_in_raag(g: DefiningGraph, w: Word, v: Word) -> bool:
     """Linear-time conjugacy decision: equal component collections and
     rotation-equal cyclic normal forms factor by factor, decided by
     ``_align``.  Its conjugator words stay unbuilt (c_w is a lazy
-    chain), and its ``rest`` is never called."""
+    chain), and its ``factors_v`` is never called."""
     return _align(g, w, v) is not None

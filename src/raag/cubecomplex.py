@@ -133,7 +133,9 @@ class ValidationReport(NamedTuple):
         else:
             # a problem below left the squares, given or implied, unusable
             why = [what for ok, what in ((self.vertices_ok, "unknown or repeated vertex"),
-                                         (self.labels_ok, "label out of range")) if not ok]
+                                         (self.labels_ok, "label out of range"),
+                                         (self.determinism_ok or self.convexity_checked,
+                                          "more than one edge per direction")) if not ok]
             lines.append(f"convexity: not checked ({', '.join(why) or 'repeated edge id'})")
         lines.append("injectivity of universal covers: not checked (assumed)")
         lines.extend(self.problems)
@@ -235,7 +237,10 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     Without square records every such corner implies its square: from
     the vertex, d1 then d2 and d2 then d1 must both trace and end at the
     same vertex.  That walks every commuting pair, O(sum of deg^2), and
-    is what keeps ``groupoid_conjugate``'s carried bases traceable."""
+    is what keeps ``groupoid_conjugate``'s carried bases traceable.
+    These walks need determinism: the walk table keeps only the first of
+    two edges that share a direction, so their verdict would depend on
+    the order of the records, and convexity is left unchecked instead."""
     problems: list[str] = []
     ids = cx._ids
 
@@ -294,10 +299,11 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
                              if _corner(k, d1, d2, m, n_ids) not in provided]
     elif convexity_checked:
         squares_ok = False
-    elif labels_ok and vertices_ok:
+    elif labels_ok and vertices_ok and determinism_ok:
         # no squares given: each corner's square is implied, so both of
         # its two-letter walks must trace and meet; vertex ids follow the
-        # records, as no name repeats or is undeclared
+        # records, as no name repeats or is undeclared, and the walk table
+        # holds every edge, as no direction has a second one
         out = cx._out
         open_corners = [f"convexity violation at vertex {x}: commuting "
                         f"directions {d1} and {d2} close no square"
@@ -399,20 +405,21 @@ def groupoid_conjugate(cx: CubeComplexMap, g: DefiningGraph,
     tracing it once; loop 1's is the half of a free-homotopy witness
     path that starts at base 1.  The empty centralizer word leads from a
     base to itself, so carried bases that coincide are YES with nothing
-    more built.  Else both go on along the common word that ``rest``
-    gives, to loop 2's cyclic normal form, and the answer is whether
-    some word of its centralizer traces from the first carried base to
-    the second."""
+    more built.  Else both go on along the rest of the events of loop
+    2's cyclic normal factors, past the prefix c2 already carried, to
+    that normal form, and the answer is whether some word of its
+    centralizer traces from the first carried base to the second."""
     _require_loop(bw1)
     _require_loop(bw2)
     aligned = _align(g, bw1.word, bw2.word)
     if aligned is None:
         return False
-    c1, c2, rest = aligned
+    c1, c2, factors_v = aligned
     b1, b2 = _carry(cx, bw1.base, c1), _carry(cx, bw2.base, c2)
     if b1 == b2:
         return True
-    d, f2 = rest()
+    f2 = factors_v()
+    d = f2.events[len(c2):]
     b1, b2 = _carry(cx, b1, d), _carry(cx, b2, d)
     return b2 in reach_by_centralizer(cx, b1, centralizer_generators(g, f2))
 

@@ -354,9 +354,13 @@ def test_equal_pyramids_decided_as_the_rotation_search():
         got = conjugate_in_raag(g, w, v)
         assert got == (_factor_rotations(cyclic_normal_factors(g, w),
                                          cyclic_normal_factors(g, v)) is not None), (g, w, v)
-        rw, rv = _reduce(g, w), _reduce(g, v)
-        seen.add((None if _letter_counts(rw[0]) != _letter_counts(rv[0])
-                  else _pyramid(g, *rw).piling == _pyramid(g, *rv).piling, got))
+        (pw, ew), (pv, ev) = _reduce(g, w), _reduce(g, v)
+        equal = None
+        if _letter_counts(pw) == _letter_counts(pv):
+            _pyramid(g, pw, ew)  # pyramidalizes pw in place
+            _pyramid(g, pv, ev)
+            equal = pw == pv
+        seen.add((equal, got))
     assert (True, False) not in seen
     assert {(True, True), (False, True), (False, False), (None, False)} <= seen
 
@@ -399,15 +403,16 @@ def test_equal_reductions_decided_as_the_rotation_search(monkeypatch):
 
 def test_align_conjugators_reach_the_common_form(monkeypatch):
     """Every YES of ``_align`` holds what it claims, checked with
-    ``pi_star`` alone: c_w^-1 w c_w = c_v^-1 v c_v, and the word d that
-    ``rest()`` returns carries that element to the factors f it returns,
-    d^-1 (c_v^-1 v c_v) d = concat(f).  On random graphs of 2-65
+    ``pi_star`` alone: c_w^-1 w c_w = c_v^-1 v c_v, and the factors f
+    that ``factors_v()`` returns are v's cyclic normal factors, whose
+    events begin with c_v; the rest of them, d, carries that element to
+    f, d^-1 (c_v^-1 v c_v) d = concat(f).  On random graphs of 2-65
     generators, and on inputs of 2k-4k letters that no oracle reaches:
     the path family rotated and conjugated, and a random reduced word
     rotated at 64 generators.  The tier is read from the kernel calls
     ``_align`` makes (none pyramidalized for equal reductions, nothing
-    drained for equal pyramids), and all three occur; ``rest`` drains
-    v's piling alone, or nothing after the rotation search."""
+    drained for equal pyramids), and all three occur; ``factors_v``
+    drains v's piling alone, or nothing after the rotation search."""
     calls = []
     for name in ("_pyramidalize", "_drain"):
         real = getattr(raag.conjugacy, name)
@@ -421,15 +426,18 @@ def test_align_conjugators_reach_the_common_form(monkeypatch):
         if aligned is None:
             return None
         tier = tiers[calls.count("_pyramidalize"), calls.count("_drain")]
-        cw, cv, rest = aligned
+        cw, cv, factors_v = aligned
         cw, cv = tuple(cw), tuple(cv)
         left = inverse_word(cw) + w + cw
         right = inverse_word(cv) + v + cv
         assert pi_star(g, left + inverse_word(right)).signed_count == 0, (g, w, v)
         calls.clear()
-        d, f = rest()
+        f = factors_v()
         assert calls.count("_drain") == (tier != "rotation")
         assert calls.count("_pyramidalize") <= (tier == "reductions")
+        assert f == cyclic_normal_factors(g, v), (g, w, v)
+        assert f.events[:len(cv)] == cv, (g, w, v)
+        d = f.events[len(cv):]
         assert (pi_star(g, inverse_word(d) + right + d + inverse_word(f.concat())).signed_count
                 == 0), (g, w, v)
         return tier

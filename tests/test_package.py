@@ -4,6 +4,7 @@ import ast
 import contextlib
 import importlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -193,3 +194,25 @@ def test_installed_command_runs_the_cli_main():
     for name in attr.split("."):
         target = getattr(target, name)
     assert target is importlib.import_module("raag.cli").main
+
+
+def test_bench_files_report_every_workload_and_metric():
+    """Every committed ``BENCH_*.json`` holds, for each workload that
+    ``BENCHMARK.json`` names, parent and change entries of at least three
+    runs, all correct and none failed, with every end-to-end metric in
+    its unit and min <= median <= max."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        workloads = json.loads(path.read_text(encoding="utf-8"))["workloads"]
+        for wl in spec["workloads"]:
+            for side in ("parent", "change"):
+                entry = workloads[wl["name"]][side]
+                where = (path.name, wl["name"], side)
+                assert entry["run_count"] >= 3 and entry["all_correct"] is True, where
+                assert entry["failed"] == 0, where
+                for metric in spec["end_to_end"]:
+                    m = entry["metrics"][metric["name"]]
+                    assert m["unit"] == metric["unit"], (*where, metric["name"])
+                    assert m["min"] <= m["median"] <= m["max"], (*where, metric["name"])
