@@ -125,11 +125,8 @@ def build_graph(names: Iterable[str], commuting_pairs: Iterable[tuple[str, str]]
     # commuting[i]: the generators that commute with a_i, and a_i itself
     commuting = [{i} for i in range(n + 1)]
     for a, b in commuting_pairs:
-        if a not in idx or b not in idx:
-            bad = a if a not in idx else b
-            raise PresentationError(f"unknown name {bad!r} in commuting pair")
-        if a == b:
-            raise PresentationError(f"self-pair ({a}, {b}) is not allowed")
+        if a == b or a not in idx or b not in idx:
+            _check_pair(idx, a, b)
         i, j = idx[a], idx[b]
         commuting[i].add(j)
         commuting[j].add(i)
@@ -137,6 +134,16 @@ def build_graph(names: Iterable[str], commuting_pairs: Iterable[tuple[str, str]]
     nbrs = [frozenset()]  # dummy slot 0
     nbrs += (everyone - commuting[i] for i in range(1, n + 1))
     return DefiningGraph(names, tuple(nbrs))
+
+
+def _check_pair(names, a: str, b: str) -> None:
+    """Raise ``PresentationError`` unless a and b are distinct members of
+    names, the generator names."""
+    if a not in names or b not in names:
+        bad = a if a not in names else b
+        raise PresentationError(f"unknown name {bad!r} in commuting pair")
+    if a == b:
+        raise PresentationError(f"self-pair ({a}, {b}) is not allowed")
 
 
 def support_components(g: DefiningGraph, gens: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -220,15 +227,16 @@ def format_word(g: DefiningGraph, w: Word) -> str:
 
 
 def _read_directives(text: str, source: str, error: type[InputError], header: str,
-                     directives: dict) -> tuple[str, ...]:
+                     directives: dict, take_header=None) -> tuple[str, ...]:
     """The line syntax of presentation and complex files: ``#`` starts a
     comment, blank lines are skipped, and a line is a directive keyword
     followed by whitespace-separated fields.  The ``header`` directive
     must appear exactly once and name at least one thing; its names are
-    returned.  ``directives`` maps every other keyword to its field
+    returned, and handed to ``take_header``, if given, as soon as its
+    line is read.  ``directives`` maps every other keyword to its field
     count, what the fields are (for the message) and a function that
     takes the list of fields.  Every message starts ``source:lineno``,
-    also that of an ``error`` the function raises."""
+    also that of an ``error`` either function raises."""
     names = None
     directive = directives.get
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -246,6 +254,8 @@ def _read_directives(text: str, source: str, error: type[InputError], header: st
             if not fields:
                 raise error(f"{source}:{lineno}: {kw!r} needs at least one name")
             names = tuple(fields)
+            if take_header is not None:
+                take_header(names)
             continue
         count, what, take = entry
         if len(fields) != count:
@@ -273,14 +283,30 @@ def _read_text(path: str, error: type[InputError]) -> str:
 
 def parse_presentation(text: str, source: str = "<string>") -> DefiningGraph:
     """Presentation file format: one ``gens <name>+`` line, then zero or
-    more ``commute <name> <name>`` lines; ``#`` starts a comment."""
+    more ``commute <name> <name>`` lines; ``#`` starts a comment.  A
+    ``commute`` line below ``gens`` that names an unknown generator, or
+    one twice, is reported at its line, and the earliest bad line wins;
+    one above ``gens`` is reported once the file has been read."""
     pairs: list[list[str]] = []
-    names = _read_directives(text, source, PresentationError, "gens",
-                             {"commute": (2, "exactly two names", pairs.append)})
     try:
+        names = _read_directives(text, source, PresentationError, "gens",
+                                 {"commute": (2, "exactly two names", pairs.append)})
         return build_graph(names, pairs)
     except PresentationError as e:
-        raise PresentationError(f"{source}: {e}") from None
+        error = e
+    # Some line is bad, so read again, checking each commute line as it is
+    # read once the gens line has named the generators: the earliest bad
+    # line raises.  This read raises whenever the first one did, so what
+    # it lets through is an error of build_graph, which names no line.
+    known: set[str] = set()
+
+    def commute(fields):
+        if known:
+            _check_pair(known, *fields)
+
+    _read_directives(text, source, PresentationError, "gens",
+                     {"commute": (2, "exactly two names", commute)}, known.update)
+    raise PresentationError(f"{source}: {error}") from None
 
 
 def load_presentation(path: str) -> DefiningGraph:

@@ -165,8 +165,8 @@ def _square_corners(cx: CubeComplexMap, g: DefiningGraph,
     label."""
     noncommute = g.noncommute  # labels are range-checked before squares
     m, v = 2 * g.n + 2, len(cx._names)
-    # per label pair (i, j): the codes of the letter pairs up-up, down-up,
-    # down-down and up-down of e1 and e2, weighted as in _corner
+    # per label pair (i, j): the corners at id 0 of the letter pairs up-up,
+    # down-up, down-down and up-down of e1 and e2, by their signs
     pair_codes: dict[int, tuple[int, int, int, int]] = {}
     corners: set[int] = set()
     add = corners.add
@@ -184,9 +184,9 @@ def _square_corners(cx: CubeComplexMap, g: DefiningGraph,
         if i3 == i and j4 == j and i != j and j not in noncommute[i]:
             codes = pair_codes.get(i * m + j)
             if codes is None:
-                x, y = (m * v, v) if i < j else (v, m * v)
-                uu = 2 * i * x + 2 * j * y
-                codes = pair_codes[i * m + j] = (uu, uu + x, uu + x + y, uu + y)
+                codes = pair_codes[i * m + j] = tuple(
+                    _corner(0, letter_row(i)[s], letter_row(j)[t], m, v)
+                    for s, t in ((1, 1), (-1, 1), (-1, -1), (1, -1)))
             uu, du, dd, ud = codes
             # whichever sign e1 takes, the corners depend on e2's only:
             # the ends of e1 and of e3 (label i) leave along it up at the
@@ -232,7 +232,8 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     complex is convex exactly when they are as many as all those pairs.
     The pairs are counted once per distinct tuple of directions, and
     only when the corners fall short are they walked, to name the
-    missing ones.
+    missing ones.  ``_corner`` is the one code of a corner, both for the
+    corners the records provide and for the pairs looked up among them.
 
     Without square records every such corner implies its square: from
     the vertex, d1 then d2 and d2 then d1 must both trace and end at the
@@ -240,7 +241,12 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     is what keeps ``groupoid_conjugate``'s carried bases traceable.
     These walks need determinism: the walk table keeps only the first of
     two edges that share a direction, so their verdict would depend on
-    the order of the records, and convexity is left unchecked instead."""
+    the order of the records, and convexity is left unchecked instead.
+
+    Both verdicts name their open corners through one report, which
+    walks the vertex records in order and, at each, its commuting
+    direction pairs, and differs only in the closing test and in the
+    words that end each line."""
     problems: list[str] = []
     ids = cx._ids
 
@@ -248,12 +254,11 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
     # names that only an edge mentions
     vertices_ok = len(ids) == cx._vertex_ids == len(cx.vertices)
     if not vertices_ok:
-        vertex_set = set(cx.vertices)
-        if len(vertex_set) != len(cx.vertices):
+        if cx._vertex_ids != len(cx.vertices):
             _repeats("vertex", cx.vertices, problems)
         for e in cx.edges:
             for x in (e.src, e.dst):
-                if x not in vertex_set:
+                if ids[x] >= cx._vertex_ids:
                     problems.append(f"edge {e.eid}: unknown vertex {x!r}")
 
     determinism_ok = not cx._multi_keys
@@ -269,52 +274,49 @@ def validate(cx: CubeComplexMap, g: DefiningGraph) -> ValidationReport:
         problems += [f"edge {e.eid}: label {e.label} out of range 1..{n}"
                      for e in cx.edges if not 1 <= e.label <= n]
 
-    squares_ok = True
     convexity_ok: bool | None = None
-    convexity_checked = cx.squares is not None
     # called only once labels are range-checked, so commutation is a set lookup
     noncommute = g.noncommute
+    out = cx._out
 
     def commuting(directions):
         return [(d1, d2) for d1, d2 in combinations(directions, 2)
                 if d1.gen != d2.gen and d2.gen not in noncommute[d1.gen]]
 
-    if convexity_checked:
+    def open_corners(closes, suffix):
+        # called only once vertices are checked, so ids follow the records
+        return [f"convexity violation at vertex {x}: commuting "
+                f"directions {d1} and {d2} {suffix}"
+                for k, x in enumerate(cx.vertices) for d1, d2 in commuting(out[k])
+                if not closes(k, d1, d2)]
+
+    if cx.squares is None:
+        squares_ok = True
+        if labels_ok and vertices_ok and determinism_ok:
+            # each corner's square is implied, so both of its two-letter
+            # walks must trace and meet; the walk table holds every edge,
+            # as no direction has a second one
+            lines = open_corners(lambda k, d1, d2: (y := _walk(out, k, (d1, d2))) is not None
+                                 and y == _walk(out, k, (d2, d1)), "close no square")
+            convexity_ok = not lines
+            problems += lines
+    else:
+        squares_ok = False  # until the records are read
         get = ids.__getitem__
         ends = dict(zip(eids, zip(map(get, srcs), map(get, dsts), labels)))
         if len(ends) != len(cx.edges):  # a square record could name either edge
-            squares_ok = False
             _repeats("edge id", eids, problems)
-    if convexity_checked and squares_ok and labels_ok and vertices_ok:
-        provided, squares_ok = _square_corners(cx, g, ends, problems)
-        need = sum(k * len(commuting(d)) for d, k in Counter(map(tuple, cx._out)).items())
-        convexity_ok = len(provided) == need
-        if not convexity_ok:
-            m, n_ids = 2 * g.n + 2, len(cx._names)
-            for x in cx.vertices:
-                k = ids[x]
-                problems += [f"convexity violation at vertex {x}: commuting "
-                             f"directions {d1} and {d2} have no square corner"
-                             for d1, d2 in commuting(cx._out[k])
-                             if _corner(k, d1, d2, m, n_ids) not in provided]
-    elif convexity_checked:
-        squares_ok = False
-    elif labels_ok and vertices_ok and determinism_ok:
-        # no squares given: each corner's square is implied, so both of
-        # its two-letter walks must trace and meet; vertex ids follow the
-        # records, as no name repeats or is undeclared, and the walk table
-        # holds every edge, as no direction has a second one
-        out = cx._out
-        open_corners = [f"convexity violation at vertex {x}: commuting "
-                        f"directions {d1} and {d2} close no square"
-                        for k, x in enumerate(cx.vertices) for d1, d2 in commuting(out[k])
-                        if (y := _walk(out, k, (d1, d2))) is None
-                        or y != _walk(out, k, (d2, d1))]
-        convexity_ok = not open_corners
-        problems += open_corners
+        elif labels_ok and vertices_ok:
+            provided, squares_ok = _square_corners(cx, g, ends, problems)
+            need = sum(k * len(commuting(d)) for d, k in Counter(map(tuple, out)).items())
+            convexity_ok = len(provided) == need
+            if not convexity_ok:
+                m, v = 2 * n + 2, len(cx._names)
+                problems += open_corners(lambda k, d1, d2: _corner(k, d1, d2, m, v) in provided,
+                                         "have no square corner")
 
-    return ValidationReport(determinism_ok, labels_ok, vertices_ok,
-                            squares_ok, convexity_checked, convexity_ok, problems)
+    return ValidationReport(determinism_ok, labels_ok, vertices_ok, squares_ok,
+                            cx.squares is not None, convexity_ok, problems)
 
 
 def _repeats(kind: str, names: Iterable[str], problems: list[str]) -> None:

@@ -12,7 +12,7 @@ from raag import (
     parse_word,
     pi_star,
 )
-from raag.centralizer import minimal_root
+from raag.centralizer import EmptyFactor, minimal_root
 from raag.core import inverse_word
 from .conftest import random_graph, random_reduced_word, random_word
 
@@ -28,6 +28,11 @@ def test_minimal_root_primitive(example_graph):
     w = parse_word(g, "a1 a2 a2")
     assert minimal_root(w) == (w, 1)
     assert minimal_root(parse_word(g, "a1")) == (parse_word(g, "a1"), 1)
+
+
+def test_minimal_root_of_the_empty_word_raises():
+    with pytest.raises(EmptyFactor):
+        minimal_root(())
 
 
 def test_minimal_root_even_power(example_graph):

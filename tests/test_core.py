@@ -219,7 +219,8 @@ def test_parse_presentation():
 def test_parse_presentation_errors():
     for text, message in (
             ("commute a b", "<string>: missing 'gens' line"),
-            ("gens a b\ncommute a c", "<string>: unknown name 'c' in commuting pair"),
+            ("gens a b\ncommute a c", "<string>:2: unknown name 'c' in commuting pair"),
+            ("commute a c\ngens a b", "<string>: unknown name 'c' in commuting pair"),
             ("gens a b\nfrobnicate a", "<string>:2: unknown directive 'frobnicate'"),
             ("gens a\n\n  # note\ngens b", "<string>:4: repeated 'gens' line"),
             ("gens # a b", "<string>:1: 'gens' needs at least one name"),
@@ -247,6 +248,8 @@ def test_presentation_reports_the_earlier_of_two_errors():
     for text, message in (
             ("gens a b\ncommute a\nfrobnicate a", "<string>:2: 'commute' takes exactly two names"),
             ("gens a b\nfrobnicate a\ncommute a", "<string>:2: unknown directive 'frobnicate'"),
+            ("gens a b\ncommute a c\nfrobnicate a", "<string>:2: unknown name 'c' in commuting pair"),
+            ("gens a b\ncommute a a\nfrobnicate a", "<string>:2: self-pair (a, a) is not allowed"),
             ("gens a b\r\n# c\r\ngens c\r\ncommute", "<string>:3: repeated 'gens' line")):
         with pytest.raises(PresentationError) as err:
             parse_presentation(text)

@@ -16,6 +16,7 @@ from raag import (
     Letter,
     NotALoop,
     Piling,
+    ReplayFailure,
     UntraceableWord,
     based_word,
     build_graph,
@@ -259,6 +260,18 @@ def test_squareless_complex_with_an_open_corner_is_not_convex(case):
             report.squares_ok, report.convexity_ok) == (True, True, True, True, False)
     assert problem in report.problems
     assert "convexity: VIOLATED" in report.summary().splitlines()
+
+
+def test_unvalidated_open_corner_fails_the_replay():
+    """The other side of the claim that a validated complex always
+    replays: without ``validate``, the loop decider carries a base into
+    the open corner of OPEN_CORNERS["replay"], and its conjugator letters
+    stop tracing there."""
+    cx = parse_complex(OPEN_CORNERS["replay"][0], EXAMPLE)
+    bw1 = parse_based_word(cx, EXAMPLE, "v1: a4^-1 a4 a2 a4 a3 a4^-1 a2^-1")
+    bw2 = parse_based_word(cx, EXAMPLE, "v1: a3")
+    with pytest.raises(ReplayFailure):
+        groupoid_conjugate(cx, EXAMPLE, bw1, bw2)
 
 
 def test_squareless_complex_closing_its_corners_is_convex():
